@@ -194,8 +194,8 @@ let robust_opts =
       & info [ "inject" ] ~docv:"SPEC"
           ~doc:
             "Deterministic fault injection for exercising the quarantine machinery: \
-             comma-separated $(b,seed=INT) and $(b,KIND\\@SITE[FILTER]=PROB) clauses, \
-             e.g. $(b,seed=7,crash\\@solve=0.2,stall\\@solve[resnet-2]=1).  Decisions \
+             comma-separated $(b,seed=INT) and $(b,KIND@SITE[FILTER]=PROB) clauses, \
+             e.g. $(b,seed=7,crash@solve=0.2,stall@solve[resnet-2]=1).  Decisions \
              are a pure function of the spec and the work item, never of time.")
   in
   let build solve_deadline_ms retries inject config =

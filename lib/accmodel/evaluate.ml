@@ -25,18 +25,33 @@ type t = {
   ipc : float;
 }
 
+(* [fits] and [check_capacities] share these predicates.  Each keeps the
+   [not (x > cap)] form so a NaN footprint passes here, as it always has,
+   and is caught by the degeneracy checks of [of_counts]. *)
+let registers_fit arch counts =
+  not (Counts.reg_words_per_pe counts > float_of_int arch.Arch.registers_per_pe)
+
+let sram_fits arch counts =
+  not (Counts.sram_words_used counts > float_of_int arch.Arch.sram_words)
+
+let pes_fit arch counts = not (counts.Counts.pes_used > arch.Arch.pe_count)
+
+let fits arch counts =
+  registers_fit arch counts && sram_fits arch counts && pes_fit arch counts
+
 let check_capacities arch counts =
-  let reg = Counts.reg_words_per_pe counts in
-  let sram = Counts.sram_words_used counts in
-  let pes = counts.Counts.pes_used in
-  if reg > float_of_int arch.Arch.registers_per_pe then
+  if not (registers_fit arch counts) then
     Error
-      (Printf.sprintf "register tile needs %g words, PE has %d" reg
-         arch.Arch.registers_per_pe)
-  else if sram > float_of_int arch.Arch.sram_words then
-    Error (Printf.sprintf "SRAM tile needs %g words, SRAM has %d" sram arch.Arch.sram_words)
-  else if pes > arch.Arch.pe_count then
-    Error (Printf.sprintf "mapping uses %d PEs, architecture has %d" pes arch.Arch.pe_count)
+      (Printf.sprintf "register tile needs %g words, PE has %d"
+         (Counts.reg_words_per_pe counts) arch.Arch.registers_per_pe)
+  else if not (sram_fits arch counts) then
+    Error
+      (Printf.sprintf "SRAM tile needs %g words, SRAM has %d"
+         (Counts.sram_words_used counts) arch.Arch.sram_words)
+  else if not (pes_fit arch counts) then
+    Error
+      (Printf.sprintf "mapping uses %d PEs, architecture has %d"
+         counts.Counts.pes_used arch.Arch.pe_count)
   else Ok ()
 
 (* Per-level, per-direction link occupancies (DESIGN §16), in the
@@ -76,78 +91,78 @@ let comm_channels tech counts =
   in
   (shared, reg)
 
-let evaluate ?(comm = Link.Overlapped) ?(contention = false) tech arch nest
-    mapping =
+let of_counts ?(comm = Link.Overlapped) ?(contention = false) tech arch counts =
+  match check_capacities arch counts with
+  | Error _ as e -> e
+  | Ok () ->
+    let eps_r = Arch.register_energy tech arch in
+    let eps_s = Arch.sram_energy tech arch in
+    let eps_d = tech.Tech.energy_dram in
+    let macs = counts.Counts.macs in
+    let s2r = Counts.sram_to_reg counts in
+    let r2s = Counts.reg_to_sram counts in
+    let d2s = Counts.dram_to_sram counts in
+    let s2d = Counts.sram_to_dram counts in
+    let mac_energy = ((4.0 *. eps_r) +. tech.Tech.energy_mac) *. macs in
+    let register_energy = eps_r *. (s2r +. r2s) in
+    let sram_energy = eps_s *. (s2r +. r2s +. d2s +. s2d) in
+    let dram_energy = eps_d *. (d2s +. s2d) in
+    let energy_pj = mac_energy +. register_energy +. sram_energy +. dram_energy in
+    let compute_cycles = macs /. float_of_int counts.Counts.pes_used in
+    let sram_cycles = (s2r +. r2s +. d2s +. s2d) /. tech.Tech.sram_bandwidth in
+    let dram_cycles = (d2s +. s2d) /. tech.Tech.dram_bandwidth in
+    let comm_occs, cycles, binding =
+      match comm with
+      | Link.Overlapped ->
+        let cycles =
+          Float.max compute_cycles (Float.max sram_cycles dram_cycles)
+        in
+        let binding =
+          Link.binding
+            [
+              ("compute", compute_cycles);
+              ("sram", sram_cycles);
+              ("dram", dram_cycles);
+            ]
+        in
+        ([], cycles, binding)
+      | Link.Comm_aware ->
+        let shared, reg = comm_channels tech counts in
+        let cycles, binding =
+          Link.comm_cycles ~contention ~compute:compute_cycles ~shared ~reg
+        in
+        (shared @ [ reg ], cycles, binding)
+    in
+    (* Degenerate nests (overflowed trip-count products, zero-trip
+       mappings) would otherwise produce NaN/inf records through the
+       [energy / macs] and [macs / cycles] divisions below. *)
+    if not (Float.is_finite macs && macs > 0.0) then
+      Error (Printf.sprintf "degenerate nest: MAC count %g is not finite and positive" macs)
+    else if not (Float.is_finite cycles && cycles > 0.0) then
+      Error (Printf.sprintf "degenerate nest: cycle count %g is not finite and positive" cycles)
+    else if not (Float.is_finite energy_pj) then
+      Error (Printf.sprintf "degenerate nest: energy %g is not finite" energy_pj)
+    else
+      Ok
+        {
+          arch;
+          counts;
+          energy_pj;
+          energy_per_mac = energy_pj /. macs;
+          breakdown = { mac_energy; register_energy; sram_energy; dram_energy };
+          compute_cycles;
+          sram_cycles;
+          dram_cycles;
+          comm = comm_occs;
+          binding;
+          cycles;
+          ipc = macs /. cycles;
+        }
+
+let evaluate ?comm ?contention tech arch nest mapping =
   match Counts.compute nest mapping with
   | Error _ as e -> e
-  | Ok counts -> begin
-    match check_capacities arch counts with
-    | Error _ as e -> e
-    | Ok () ->
-      let eps_r = Arch.register_energy tech arch in
-      let eps_s = Arch.sram_energy tech arch in
-      let eps_d = tech.Tech.energy_dram in
-      let macs = counts.Counts.macs in
-      let s2r = Counts.sram_to_reg counts in
-      let r2s = Counts.reg_to_sram counts in
-      let d2s = Counts.dram_to_sram counts in
-      let s2d = Counts.sram_to_dram counts in
-      let mac_energy = ((4.0 *. eps_r) +. tech.Tech.energy_mac) *. macs in
-      let register_energy = eps_r *. (s2r +. r2s) in
-      let sram_energy = eps_s *. (s2r +. r2s +. d2s +. s2d) in
-      let dram_energy = eps_d *. (d2s +. s2d) in
-      let energy_pj = mac_energy +. register_energy +. sram_energy +. dram_energy in
-      let compute_cycles = macs /. float_of_int counts.Counts.pes_used in
-      let sram_cycles = (s2r +. r2s +. d2s +. s2d) /. tech.Tech.sram_bandwidth in
-      let dram_cycles = (d2s +. s2d) /. tech.Tech.dram_bandwidth in
-      let comm_occs, cycles, binding =
-        match comm with
-        | Link.Overlapped ->
-          let cycles =
-            Float.max compute_cycles (Float.max sram_cycles dram_cycles)
-          in
-          let binding =
-            Link.binding
-              [
-                ("compute", compute_cycles);
-                ("sram", sram_cycles);
-                ("dram", dram_cycles);
-              ]
-          in
-          ([], cycles, binding)
-        | Link.Comm_aware ->
-          let shared, reg = comm_channels tech counts in
-          let cycles, binding =
-            Link.comm_cycles ~contention ~compute:compute_cycles ~shared ~reg
-          in
-          (shared @ [ reg ], cycles, binding)
-      in
-      (* Degenerate nests (overflowed trip-count products, zero-trip
-         mappings) would otherwise produce NaN/inf records through the
-         [energy / macs] and [macs / cycles] divisions below. *)
-      if not (Float.is_finite macs && macs > 0.0) then
-        Error (Printf.sprintf "degenerate nest: MAC count %g is not finite and positive" macs)
-      else if not (Float.is_finite cycles && cycles > 0.0) then
-        Error (Printf.sprintf "degenerate nest: cycle count %g is not finite and positive" cycles)
-      else if not (Float.is_finite energy_pj) then
-        Error (Printf.sprintf "degenerate nest: energy %g is not finite" energy_pj)
-      else
-        Ok
-          {
-            arch;
-            counts;
-            energy_pj;
-            energy_per_mac = energy_pj /. macs;
-            breakdown = { mac_energy; register_energy; sram_energy; dram_energy };
-            compute_cycles;
-            sram_cycles;
-            dram_cycles;
-            comm = comm_occs;
-            binding;
-            cycles;
-            ipc = macs /. cycles;
-          }
-  end
+  | Ok counts -> of_counts ?comm ?contention tech arch counts
 
 let energy t = t.energy_pj
 

@@ -49,6 +49,30 @@ type t = {
   ipc : float;  (** MACs per cycle; at most the number of PEs used *)
 }
 
+val fits : Archspec.Arch.t -> Counts.t -> bool
+(** Whether the counted tiles fit the architecture's register file, SRAM
+    and PE array.  Unlike {!check_capacities} it formats no message, so
+    a caller ranking many architectures against one mapping can reject
+    misfits cheaply.  A NaN footprint fits (the degeneracy checks of
+    {!of_counts} reject it). *)
+
+val check_capacities : Archspec.Arch.t -> Counts.t -> (unit, string) result
+(** [Ok ()] exactly when {!fits} holds; otherwise an [Error] naming the
+    first exceeded capacity (registers, then SRAM, then PEs). *)
+
+val of_counts :
+  ?comm:Archspec.Link.comm_model ->
+  ?contention:bool ->
+  Archspec.Technology.t ->
+  Archspec.Arch.t ->
+  Counts.t ->
+  (t, string) result
+(** Scores already-computed counts on one architecture: the part of
+    {!evaluate} after {!Counts.compute}.  Counts depend on the mapping
+    alone, so a caller trying several architectures for one mapping
+    computes them once.  Fails on capacity violations and degenerate
+    counts, as {!evaluate} does. *)
+
 val evaluate :
   ?comm:Archspec.Link.comm_model ->
   ?contention:bool ->
@@ -61,7 +85,8 @@ val evaluate :
     architecture's register / SRAM / PE capacities, or is degenerate —
     the MAC count, cycle count or energy comes out non-finite or
     non-positive (overflowed trip-count products), which would otherwise
-    yield NaN/inf [energy_per_mac]/[ipc] records.  [comm] defaults to
+    yield NaN/inf [energy_per_mac]/[ipc] records.  Defined as
+    {!Counts.compute} followed by {!of_counts}.  [comm] defaults to
     [Overlapped] (the historical behavior); [contention] only affects
     [Comm_aware]. *)
 

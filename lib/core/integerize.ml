@@ -169,12 +169,9 @@ let per_dim_budget ~max_candidates ~dims =
     bisect lo (2 * lo)
   end
 
-let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
-    ?(min_pe_utilization = 0.0) ?(contention = false) tech instance solution =
-  match check_pinned instance with
-  | Some msg -> Error msg
-  | None ->
-  let nest = instance.Formulate.nest in
+(* The cross product of per-dim divisor triples that [run] ranks, in
+   ranking order. *)
+let combos ~n_divisors ~max_candidates instance solution =
   let per_dim =
     List.map
       (fun d -> (d, dim_triples ~n_divisors instance solution d))
@@ -197,14 +194,22 @@ let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
       in
       List.map (fun (d, triples) -> (d, take budget_per_dim triples)) per_dim
   in
-  let combos = ref [ [] ] in
-  List.iter
-    (fun (d, triples) ->
-      combos :=
-        List.concat_map
-          (fun combo -> List.map (fun t -> (d, t) :: combo) triples)
-          !combos)
-    per_dim;
+  List.fold_left
+    (fun combos (d, triples) ->
+      List.concat_map (fun combo -> List.map (fun t -> (d, t) :: combo) triples) combos)
+    [ [] ] per_dim
+
+let candidate_mappings ?(n_divisors = 2) ?(max_candidates = 65536) instance solution =
+  List.map (mapping_of_combo instance)
+    (combos ~n_divisors ~max_candidates instance solution)
+
+let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
+    ?(min_pe_utilization = 0.0) ?(contention = false) tech instance solution =
+  match check_pinned instance with
+  | Some msg -> Error msg
+  | None ->
+  let nest = instance.Formulate.nest in
+  let combos = combos ~n_divisors ~max_candidates instance solution in
   let tried = ref 0 in
   let valid = ref 0 in
   let best = ref None in
@@ -213,6 +218,9 @@ let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
     (fun combo ->
       let mapping = mapping_of_combo instance combo in
       let spatial_size = Mapping.spatial_size mapping in
+      (* Counts depend on the mapping alone: compute them once for all
+         arch candidates, and only if one passes the utilization filter. *)
+      let counts = lazy (Accmodel.Counts.compute nest mapping) in
       List.iter
         (fun arch ->
           incr tried;
@@ -221,11 +229,15 @@ let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
           in
           if utilization < min_pe_utilization then ()
           else
+          match Lazy.force counts with
+          | Error _ -> ()
+          | Ok counts when not (Accmodel.Evaluate.fits arch counts) -> ()
+          | Ok counts ->
           match
             (* Candidates are scored under the same communication model
                the GP was lowered with (DESIGN §16). *)
-            Accmodel.Evaluate.evaluate ~comm:instance.Formulate.comm ~contention
-              tech arch nest mapping
+            Accmodel.Evaluate.of_counts ~comm:instance.Formulate.comm
+              ~contention tech arch counts
           with
           | Error _ -> ()
           | Ok metrics ->
@@ -238,7 +250,7 @@ let run ?(n_divisors = 2) ?(n_pow2 = 2) ?(max_candidates = 65536)
             in
             if better then best := Some (s, arch, mapping, metrics))
         (arch_candidates ~n_pow2 tech instance solution ~spatial_size))
-    !combos);
+    combos);
   Obs.Metrics.add m_tried !tried;
   Obs.Metrics.add m_valid !valid;
   Obs.Metrics.add m_filtered (!tried - !valid);

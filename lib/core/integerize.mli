@@ -31,6 +31,28 @@ val per_dim_budget : max_candidates:int -> dims:int -> int
     roots (e.g. [4096 ** (1/3)] evaluating to 15.999...).  [dims <= 1]
     returns [max_candidates] itself.  Exposed for tests. *)
 
+val candidate_mappings :
+  ?n_divisors:int ->
+  ?max_candidates:int ->
+  Formulate.instance ->
+  Gp.Solver.solution ->
+  Mapspace.Mapping.t list
+(** The tile candidates {!run} ranks, one canonical mapping per
+    combination of per-dim divisor triples, in {!run}'s order.  Exposed
+    for tests. *)
+
+val arch_candidates :
+  n_pow2:int ->
+  Archspec.Technology.t ->
+  Formulate.instance ->
+  Gp.Solver.solution ->
+  spatial_size:int ->
+  Archspec.Arch.t list
+(** The architectures {!run} pairs with a mapping using [spatial_size]
+    PEs, in {!run}'s order: the fixed one, or the area-feasible
+    power-of-two register/SRAM snaps of the co-design optimum.  Exposed
+    for tests. *)
+
 val run :
   ?n_divisors:int ->
   ?n_pow2:int ->
@@ -50,4 +72,8 @@ val run :
     Candidates are scored by {!Accmodel.Evaluate} under the instance's
     communication model ({!Formulate.instance.comm}); [contention]
     (default false) additionally serializes the DRAM/NoC channels in
-    that scoring (only meaningful under [Comm_aware]). *)
+    that scoring (only meaningful under [Comm_aware]).  Each mapping's
+    {!Accmodel.Counts} are computed once and shared by all of its
+    architecture candidates; the result, and [candidates_tried] and
+    [candidates_valid], are those of calling {!Accmodel.Evaluate.evaluate}
+    on every pair. *)

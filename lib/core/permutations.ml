@@ -163,7 +163,23 @@ let enumerate ?untiled ?symmetries ?(max_choices = max_int) nest =
       dram_perm = List.map swap_name c.dram_perm;
     }
   in
-  let analyze c = Volume.analyze nest ~pe_perm:c.pe_perm ~dram_perm:c.dram_perm in
+  (* The PE half of the analysis, and its part of the fingerprint, depend
+     only on [pe_perm]: compute them once per permutation, for the pairs
+     and their symmetric twins alike. *)
+  let pe_halves = Hashtbl.create 64 in
+  let analyze c =
+    let pe, keys =
+      match Hashtbl.find_opt pe_halves c.pe_perm with
+      | Some half -> half
+      | None ->
+        let pe = Volume.analyze_pe nest ~pe_perm:c.pe_perm in
+        let half = (pe, Volume.sram_to_reg_keys pe) in
+        Hashtbl.replace pe_halves c.pe_perm half;
+        half
+    in
+    let vol = Volume.analyze_dram pe ~dram_perm:c.dram_perm in
+    (vol, Volume.fingerprint_with ~sram_to_reg_keys:keys vol)
+  in
   let seen = Hashtbl.create 1024 in
   let raw_count = List.length perms * List.length perms in
   let choices = ref [] in
@@ -174,16 +190,13 @@ let enumerate ?untiled ?symmetries ?(max_choices = max_int) nest =
         (fun dram_perm ->
           if !kept < max_choices then begin
             let c = { pe_perm; dram_perm } in
-            let vol = analyze c in
-            let fp = Volume.fingerprint vol in
+            let vol, fp = analyze c in
             if not (Hashtbl.mem seen fp) then begin
               Hashtbl.replace seen fp ();
               (* Mark every symmetric twin as seen so it is pruned when
                  the enumeration reaches it. *)
               List.iter
-                (fun swaps ->
-                  let twin = swap_choice swaps c in
-                  Hashtbl.replace seen (Volume.fingerprint (analyze twin)) ())
+                (fun swaps -> Hashtbl.replace seen (snd (analyze (swap_choice swaps c))) ())
                 symmetries;
               choices := (c, vol) :: !choices;
               incr kept

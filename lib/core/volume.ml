@@ -78,9 +78,16 @@ let check_perm nest what perm =
         invalid_arg (Printf.sprintf "Volume.analyze: %s mentions undeclared dim %S" what d))
     perm
 
-let analyze nest ~pe_perm ~dram_perm =
+(* Per tensor, everything [analyze] derives before the DRAM level:
+   [(tensor, df0, df2, sram_to_reg)]. *)
+type pe_half = {
+  h_nest : Nest.t;
+  h_perm : string list;
+  h_tensors : (Nest.tensor * FP.t * FP.t * volume) list;
+}
+
+let analyze_pe nest ~pe_perm =
   check_perm nest "pe_perm" pe_perm;
-  check_perm nest "dram_perm" dram_perm;
   let all_dims = Nest.dim_names nest in
   let analyze_tensor tensor =
     let df0 = register_tile_footprint tensor in
@@ -113,6 +120,13 @@ let analyze nest ~pe_perm ~dram_perm =
       in
       { fill1 with prefix = M.mul fill1.prefix (M.mul spatial_mult dram_mult) }
     in
+    (tensor, df0, df2, sram_to_reg)
+  in
+  { h_nest = nest; h_perm = pe_perm; h_tensors = List.map analyze_tensor (Nest.tensors nest) }
+
+let analyze_dram pe ~dram_perm =
+  check_perm pe.h_nest "dram_perm" dram_perm;
+  let analyze_tensor (tensor, df0, df2, sram_to_reg) =
     let _df3, dram_to_sram =
       construct ~level:Level.dram_temporal_level ~perm:dram_perm ~tensor df2
     in
@@ -125,7 +139,14 @@ let analyze nest ~pe_perm ~dram_perm =
       dram_to_sram;
     }
   in
-  { nest; pe_perm; dram_perm; per_tensor = List.map analyze_tensor (Nest.tensors nest) }
+  {
+    nest = pe.h_nest;
+    pe_perm = pe.h_perm;
+    dram_perm;
+    per_tensor = List.map analyze_tensor pe.h_tensors;
+  }
+
+let analyze nest ~pe_perm ~dram_perm = analyze_dram (analyze_pe nest ~pe_perm) ~dram_perm
 
 (* ------------------------------------------------------------------ *)
 (* Arbitrary level structures                                         *)
@@ -191,12 +212,23 @@ let analyze_general nest ~levels =
   in
   { g_nest = nest; g_levels = levels; g_tensors = List.map analyze_tensor (Nest.tensors nest) }
 
-let fingerprint t =
-  let volume_string v = P.to_string (volume_posynomial v) in
+let volume_string v = P.to_string (volume_posynomial v)
+
+let tensor_key name sram_to_reg = name ^ ":" ^ volume_string sram_to_reg
+
+let sram_to_reg_keys pe =
+  List.map
+    (fun (tensor, _, _, sram_to_reg) -> tensor_key tensor.Nest.tensor_name sram_to_reg)
+    pe.h_tensors
+
+let fingerprint_with ~sram_to_reg_keys t =
   String.concat "|"
-    (List.map
-       (fun tv ->
-         Printf.sprintf "%s:%s;%s" tv.tensor
-           (volume_string tv.sram_to_reg)
-           (volume_string tv.dram_to_sram))
-       t.per_tensor)
+    (List.map2
+       (fun key tv -> key ^ ";" ^ volume_string tv.dram_to_sram)
+       sram_to_reg_keys t.per_tensor)
+
+let fingerprint t =
+  fingerprint_with
+    ~sram_to_reg_keys:
+      (List.map (fun tv -> tensor_key tv.tensor tv.sram_to_reg) t.per_tensor)
+    t

@@ -61,7 +61,20 @@ val analyze :
 (** [analyze nest ~pe_perm ~dram_perm] builds the symbolic expressions for
     every tensor of the nest.  Each permutation must be a list of distinct
     nest dims (a subset: dims not listed are untiled at that level).
-    Raises [Invalid_argument] otherwise. *)
+    Raises [Invalid_argument] otherwise.  Defined as {!analyze_pe}
+    followed by {!analyze_dram}. *)
+
+type pe_half
+(** The part of {!analyze} that depends only on [pe_perm]: per tensor,
+    the register and SRAM footprints and the SRAM->register volume. *)
+
+val analyze_pe : Workload.Nest.t -> pe_perm:string list -> pe_half
+(** Raises [Invalid_argument] on a malformed [pe_perm]. *)
+
+val analyze_dram : pe_half -> dram_perm:string list -> t
+(** Adds the DRAM->SRAM volumes.  A caller pairing one [pe_perm] with
+    many [dram_perm]s computes {!analyze_pe} once.  Raises
+    [Invalid_argument] on a malformed [dram_perm]. *)
 
 val construct :
   level:int ->
@@ -110,3 +123,12 @@ val analyze_general : Workload.Nest.t -> levels:level_spec list -> general
 val fingerprint : t -> string
 (** A canonical serialization of all volume expressions, used to prune
     permutation choices that induce identical cost models. *)
+
+val sram_to_reg_keys : pe_half -> string list
+(** The per-tensor SRAM->register part of {!fingerprint}, which depends
+    only on the PE half. *)
+
+val fingerprint_with : sram_to_reg_keys:string list -> t -> string
+(** [fingerprint_with ~sram_to_reg_keys:(sram_to_reg_keys pe) v] equals
+    [fingerprint v] for [v = analyze_dram pe ~dram_perm], without
+    re-rendering the SRAM->register volumes. *)

@@ -300,6 +300,74 @@ let test_degenerate_nest_rejected () =
     Alcotest.failf "degenerate nest accepted: energy/mac %g, ipc %g"
       m.Evaluate.energy_per_mac m.Evaluate.ipc
 
+(* [evaluate] is [Counts.compute] then [of_counts]; the split lets a
+   caller count a mapping once and score it on many architectures.  Both
+   routes must give the same bits, errors included, on random mappings
+   against random (often too small) architectures, and a mapping from
+   another nest (invalid).  Marshalling without sharing compares floats
+   by their bits. *)
+let prop_of_counts_matches_evaluate =
+  let gen =
+    QCheck2.Gen.(
+      quad
+        (int_range 0 (List.length small_nests - 1))
+        (int_range 0 5000)
+        (triple (int_range 0 5) (int_range 0 7) (int_range 2 12))
+        (pair bool bool))
+  in
+  QCheck2.Test.make ~name:"evaluate = Counts.compute then of_counts" ~count:300 gen
+    (fun (nest_idx, seed, (pes_log, regs_log, sram_log), (comm_aware, contention)) ->
+      let rng = Random.State.make [| seed |] in
+      let nest = List.nth small_nests nest_idx in
+      (* One in eight mappings comes from another nest and fails to count. *)
+      let mapping_nest =
+        if seed mod 8 = 0 then
+          List.nth small_nests ((nest_idx + 1) mod List.length small_nests)
+        else nest
+      in
+      let mapping = Mapper.Search.random_mapping rng mapping_nest in
+      let arch =
+        Arch.make ~name:"rand" ~pes:(1 lsl pes_log) ~registers:(1 lsl regs_log)
+          ~sram_words:(1 lsl sram_log)
+      in
+      let comm = if comm_aware then Archspec.Link.Comm_aware else Archspec.Link.Overlapped in
+      let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+      let direct = Evaluate.evaluate ~comm ~contention tech arch nest mapping in
+      let split =
+        match Counts.compute nest mapping with
+        | Error _ as e -> e
+        | Ok counts ->
+          if Evaluate.fits arch counts <> Result.is_ok (Evaluate.check_capacities arch counts)
+          then QCheck2.Test.fail_report "fits disagrees with check_capacities";
+          Evaluate.of_counts ~comm ~contention tech arch counts
+      in
+      bits direct = bits split)
+
+(* A NaN footprint compares false against every capacity, so it fits,
+   and the error path is left to the degeneracy checks. *)
+let test_nan_footprint_fits () =
+  let counts =
+    {
+      Counts.macs = 1.0;
+      pes_used = 1;
+      per_tensor =
+        [
+          {
+            Counts.tensor = "T";
+            read_write = false;
+            fills = [ (1, 1.0); (3, 1.0) ];
+            copies = [ (1, 1.0); (3, 1.0) ];
+            copy_words = [ (1, 1.0); (3, 1.0) ];
+            footprints = [ (1, Float.nan); (3, Float.nan) ];
+          };
+        ];
+    }
+  in
+  let arch = Arch.make ~name:"a" ~pes:1 ~registers:1 ~sram_words:1 in
+  Alcotest.(check bool) "fits" true (Evaluate.fits arch counts);
+  Alcotest.(check (result unit string)) "check_capacities" (Ok ())
+    (Evaluate.check_capacities arch counts)
+
 let test_eyeriss_constants () =
   (* Eyeriss area under the Table III model, used as the co-design budget. *)
   let area = Arch.eyeriss_area tech in
@@ -334,5 +402,8 @@ let () =
           Alcotest.test_case "degenerate nest rejected" `Quick
             test_degenerate_nest_rejected;
           Alcotest.test_case "eyeriss constants" `Quick test_eyeriss_constants;
+          Alcotest.test_case "NaN footprint fits" `Quick test_nan_footprint_fits;
         ] );
+      ( "of_counts",
+        List.map QCheck_alcotest.to_alcotest [ prop_of_counts_matches_evaluate ] );
     ]

@@ -203,6 +203,118 @@ let test_infeasible_arch_errors () =
     Alcotest.failf "expected failure, got energy %g"
       o.I.metrics.Accmodel.Evaluate.energy_pj
 
+(* Reference for [I.run]'s ranking loop: every (combo, arch) pair
+   scored from scratch with [Evaluate.evaluate], which recounts the
+   mapping for every arch.  [I.run] counts each mapping once; the two
+   must pick the same design with the same counters. *)
+let reference_run ~max_candidates ~min_pe_utilization ~contention tech inst sol =
+  let tried = ref 0 and valid = ref 0 and best = ref None in
+  List.iter
+    (fun mapping ->
+      let spatial_size = Mapping.spatial_size mapping in
+      List.iter
+        (fun arch ->
+          incr tried;
+          let utilization =
+            float_of_int spatial_size /. float_of_int arch.Arch.pe_count
+          in
+          if utilization < min_pe_utilization then ()
+          else
+            match
+              Accmodel.Evaluate.evaluate ~comm:inst.F.comm ~contention tech arch
+                inst.F.nest mapping
+            with
+            | Error _ -> ()
+            | Ok metrics -> (
+              incr valid;
+              let s = I.score inst.F.objective metrics in
+              match !best with
+              | Some (s', _, _) when not (s < s') -> ()
+              | _ -> best := Some (s, arch, mapping)))
+        (I.arch_candidates ~n_pow2:2 tech inst sol ~spatial_size))
+    (I.candidate_mappings ~max_candidates inst sol);
+  (!best, !tried, !valid)
+
+let edge_arch = Arch.make ~name:"edge" ~pes:32 ~registers:16 ~sram_words:4096
+
+(* Every zoo layer's first permutation choice, under each objective,
+   arch mode (co-design, Eyeriss, the starved edge arch), communication
+   model and contention setting, with the utilization filter off and
+   on.  The ladder is capped (3 candidates per dim) to keep the
+   from-scratch reference quick. *)
+let test_matches_reference () =
+  let module Link = Archspec.Link in
+  let max_candidates = 81 in
+  let modes =
+    [
+      ("codesign", tech, F.Codesign { area_budget = Arch.eyeriss_area tech });
+      ("eyeriss", tech, F.Fixed Arch.eyeriss);
+      ("edge", Archspec.Technology.edge, F.Fixed edge_arch);
+    ]
+  in
+  let compared = ref 0 and won = ref 0 in
+  let check_one what tech inst sol ~contention ~min_pe_utilization =
+    let best, tried, valid =
+      reference_run ~max_candidates ~min_pe_utilization ~contention tech inst sol
+    in
+    incr compared;
+    match (I.run ~max_candidates ~min_pe_utilization ~contention tech inst sol, best) with
+    | Error _, None -> ()
+    | Ok o, Some (s, arch, mapping) ->
+      incr won;
+      Alcotest.(check bool) (what ^ ": arch") true (o.I.arch = arch);
+      Alcotest.(check bool) (what ^ ": mapping") true (o.I.mapping = mapping);
+      Alcotest.(check int64)
+        (what ^ ": score bits") (Int64.bits_of_float s)
+        (Int64.bits_of_float (I.score inst.F.objective o.I.metrics));
+      Alcotest.(check int) (what ^ ": tried") tried o.I.candidates_tried;
+      Alcotest.(check int) (what ^ ": valid") valid o.I.candidates_valid
+    | Ok _, None -> Alcotest.failf "%s: the reference found no candidate" what
+    | Error msg, Some _ -> Alcotest.failf "%s: run failed where the reference did not: %s" what msg
+  in
+  List.iter
+    (fun layer ->
+      let nest = Workload.Conv.to_nest layer in
+      let plan = Perm.enumerate ~max_choices:1 nest in
+      let choice = List.hd plan.Perm.choices in
+      List.iter
+        (fun (mode_name, tech, mode) ->
+          List.iter
+            (fun (objective_name, objective) ->
+              (* Integerize reads only the trip counts and arch values of
+                 the solution, so one solve feeds both comm models. *)
+              let sol =
+                Gp.Solver.solve (F.build tech mode objective plan choice).F.problem
+              in
+              List.iter
+                (fun (comm_name, comm, contentions) ->
+                  let inst = F.build ~comm tech mode objective plan choice in
+                  List.iter
+                    (fun contention ->
+                      List.iter
+                        (fun min_pe_utilization ->
+                          let what =
+                            Printf.sprintf "%s %s %s %s%s util %g"
+                              layer.Workload.Conv.layer_name mode_name objective_name
+                              comm_name
+                              (if contention then " contention" else "")
+                              min_pe_utilization
+                          in
+                          check_one what tech inst sol ~contention ~min_pe_utilization)
+                        [ 0.0; 0.5 ])
+                    contentions)
+                [
+                  ("overlapped", Link.Overlapped, [ false ]);
+                  ("comm-aware", Link.Comm_aware, [ false; true ]);
+                ])
+            [ ("energy", F.Energy); ("delay", F.Delay) ])
+        modes)
+    Workload.Zoo.all_layers;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d runs found a design" !won !compared)
+    true
+    (!won > !compared / 2)
+
 let () =
   Alcotest.run "integerize"
     [
@@ -218,5 +330,6 @@ let () =
           Alcotest.test_case "pinned rounding" `Quick test_pinned_rounding;
           Alcotest.test_case "per-dim budget" `Quick test_per_dim_budget;
           Alcotest.test_case "infeasible arch errors" `Quick test_infeasible_arch_errors;
+          Alcotest.test_case "matches per-pair evaluate" `Slow test_matches_reference;
         ] );
     ]

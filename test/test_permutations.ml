@@ -78,6 +78,75 @@ let test_matmul_enumeration () =
         (List.sort String.compare c.Perm.pe_perm))
     plan.Perm.choices
 
+(* Reference for [Perm.enumerate]'s choice loop without its per-[pe_perm]
+   memo: [Volume.analyze] and [Volume.fingerprint] on every pair and
+   every symmetric twin. *)
+let reference_choices ?(max_choices = max_int) nest tileable =
+  let rec permutations = function
+    | [] -> [ [] ]
+    | xs ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) xs)))
+        xs
+  in
+  let swap swaps d =
+    match List.find_opt (fun (a, b) -> a = d || b = d) swaps with
+    | Some (a, b) -> if a = d then b else a
+    | None -> d
+  in
+  let analyze pe_perm dram_perm = Thistle.Volume.analyze nest ~pe_perm ~dram_perm in
+  let perms = permutations tileable in
+  let seen = Hashtbl.create 1024 in
+  let choices = ref [] in
+  List.iter
+    (fun pe_perm ->
+      List.iter
+        (fun dram_perm ->
+          if List.length !choices < max_choices then begin
+            let vol = analyze pe_perm dram_perm in
+            let fp = Thistle.Volume.fingerprint vol in
+            if not (Hashtbl.mem seen fp) then begin
+              Hashtbl.replace seen fp ();
+              List.iter
+                (fun swaps ->
+                  let twin =
+                    analyze (List.map (swap swaps) pe_perm) (List.map (swap swaps) dram_perm)
+                  in
+                  Hashtbl.replace seen (Thistle.Volume.fingerprint twin) ())
+                (Perm.default_symmetries nest);
+              choices := ((pe_perm, dram_perm), vol, fp) :: !choices
+            end
+          end)
+        perms)
+    perms;
+  (List.length perms * List.length perms, List.rev !choices)
+
+let test_memo_matches_reference () =
+  List.iter
+    (fun layer ->
+      let nest = Workload.Conv.to_nest layer in
+      List.iter
+        (fun max_choices ->
+          let what =
+            Printf.sprintf "%s max_choices %s" layer.Workload.Conv.layer_name
+              (match max_choices with Some m -> string_of_int m | None -> "none")
+          in
+          let plan = Perm.enumerate ?max_choices nest in
+          let raw, expected = reference_choices ?max_choices nest plan.Perm.tileable in
+          Alcotest.(check int) (what ^ ": raw count") raw plan.Perm.raw_count;
+          Alcotest.(check int)
+            (what ^ ": choice count") (List.length expected)
+            (List.length plan.Perm.choices);
+          List.iter2
+            (fun ((pe_perm, dram_perm), vol, fp) (c, v) ->
+              Alcotest.(check (list string)) (what ^ ": pe perm") pe_perm c.Perm.pe_perm;
+              Alcotest.(check (list string)) (what ^ ": dram perm") dram_perm c.Perm.dram_perm;
+              Alcotest.(check bool) (what ^ ": volumes") true (vol = v);
+              Alcotest.(check string) (what ^ ": fingerprint") fp (Thistle.Volume.fingerprint v))
+            expected plan.Perm.choices)
+        [ None; Some 5 ])
+    Workload.Zoo.all_layers
+
 let () =
   Alcotest.run "permutations"
     [
@@ -90,5 +159,6 @@ let () =
           Alcotest.test_case "untiled override" `Quick test_untiled_override;
           Alcotest.test_case "max choices" `Quick test_max_choices;
           Alcotest.test_case "matmul enumeration" `Quick test_matmul_enumeration;
+          Alcotest.test_case "memo matches reference" `Quick test_memo_matches_reference;
         ] );
     ]
