@@ -5,13 +5,10 @@
       list-of-closures path through the whole optimizer, plus the
       presolve scenario on a capacity-starved edge architecture.
 
-   2. Scenario x kernel matrix: the solver alone (list / compiled /
-      batched) over the formulated (choice, placement) problem set of
-      each scenario, formulation excluded from the timed region so the
-      cells measure solver work.  The batched cells time the whole
-      batched pipeline — structure grouping, per-structure compilation,
-      coefficient packing, member solves — since that is the cost the
-      kernel claims to amortize (DESIGN §15).
+   2. Scenario x kernel matrix: the solver alone (list / compiled)
+      over the formulated (choice, placement) problem set of each
+      scenario, formulation excluded from the timed region so the cells
+      measure solver work (per-solve compilation included).
 
    Emits BENCH_solver.json (flat one-level object; format documented in
    README.md) so the perf trajectory has a recorded baseline —
@@ -69,7 +66,7 @@ let parse_args () =
       go rest
     | "--smoke" :: rest ->
       (* One small layer, shallow sweep: a seconds-scale sanity run for
-         the @bench / @batch aliases, not a measurement. *)
+         the @bench / @comm aliases, not a measurement. *)
       layers := [ "resnet-2" ];
       repeat := 1;
       max_choices := 4;
@@ -146,7 +143,6 @@ type cell = {
   c_wall_s : float;
   c_wall_mean_s : float;
   c_solves : int;
-  c_solutions : Gp.Solver.solution list;  (** last repeat, for cross-checks *)
 }
 
 (* The (choice, placement) problem set of one scenario — exactly the
@@ -162,76 +158,12 @@ let scenario_problems ~max_choices arch nest =
         plan.Permutations.placements)
     plan.Permutations.choices
 
-let scalar_cell ~repeat ~kernel problems =
+let kernel_cell ~repeat ~kernel problems =
   let pass () =
     List.map (fun p -> Gp.Solver.solve ~kernel p) problems
   in
-  let c_wall_s, c_wall_mean_s, c_solutions = time_repeats ~repeat pass in
-  { c_wall_s; c_wall_mean_s; c_solves = List.length problems; c_solutions }
-
-(* Structure grouping, compilation and packing are inside the timed
-   region: they are the per-structure costs the batched kernel claims to
-   amortize over members. *)
-let batched_pass problems () =
-  let plans = Hashtbl.create 64 in
-  let groups = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun p ->
-      let key = Gp.Batch.structure_key p in
-      match Hashtbl.find_opt groups key with
-      | None ->
-        order := key :: !order;
-        Hashtbl.replace groups key (ref [ p ])
-      | Some members -> members := p :: !members)
-    problems;
-  let blocks =
-    List.map
-      (fun key ->
-        let members = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-        let plan =
-          match Hashtbl.find_opt plans key with
-          | Some plan -> plan
-          | None ->
-            let plan = Gp.Batch.compile members.(0) in
-            Hashtbl.replace plans key plan;
-            plan
-        in
-        Gp.Batch.pack plan members)
-      (List.rev !order)
-  in
-  let solutions =
-    List.concat_map
-      (fun (block : Gp.Batch.block) ->
-        List.init block.Gp.Batch.bk_nmembers (Gp.Solver.solve_batched block))
-      blocks
-  in
-  (solutions, blocks)
-
-let batched_cell ~repeat problems =
-  let c_wall_s, c_wall_mean_s, (solutions, blocks) =
-    time_repeats ~repeat (batched_pass problems)
-  in
-  ( { c_wall_s; c_wall_mean_s; c_solves = List.length problems;
-      c_solutions = solutions },
-    blocks )
-
-(* The batched kernel is contractually bit-identical to the compiled
-   one; a drifting cell means a solver bug, so fail loudly rather than
-   record a meaningless speedup. *)
-let check_identical ~scenario compiled batched =
-  List.iter2
-    (fun (a : Gp.Solver.solution) (b : Gp.Solver.solution) ->
-      if
-        a.Gp.Solver.status <> b.Gp.Solver.status
-        || Int64.bits_of_float a.Gp.Solver.objective
-           <> Int64.bits_of_float b.Gp.Solver.objective
-      then begin
-        Printf.eprintf
-          "FATAL: %s: batched solution differs from compiled solution\n" scenario;
-        exit 1
-      end)
-    compiled.c_solutions batched.c_solutions
+  let c_wall_s, c_wall_mean_s, _ = time_repeats ~repeat pass in
+  { c_wall_s; c_wall_mean_s; c_solves = List.length problems }
 
 let () =
   let options = parse_args () in
@@ -343,40 +275,21 @@ let () =
       c.c_wall_s c.c_wall_mean_s c.c_solves
       (float_of_int c.c_solves /. c.c_wall_s)
   in
-  let structures = ref 0 in
-  let batch_sizes = ref [] in
   let matrix =
     List.map
       (fun (scenario, arch, nest) ->
         let problems =
           scenario_problems ~max_choices:options.max_choices arch nest
         in
-        let cl = scalar_cell ~repeat:options.repeat ~kernel:`List problems in
+        let cl = kernel_cell ~repeat:options.repeat ~kernel:`List problems in
         show_cell scenario "list" cl;
-        let cc = scalar_cell ~repeat:options.repeat ~kernel:`Compiled problems in
+        let cc = kernel_cell ~repeat:options.repeat ~kernel:`Compiled problems in
         show_cell scenario "compiled" cc;
-        let cb, blocks = batched_cell ~repeat:options.repeat problems in
-        show_cell scenario "batched" cb;
-        check_identical ~scenario cc cb;
-        structures := !structures + List.length blocks;
-        batch_sizes :=
-          !batch_sizes
-          @ List.map (fun (b : Gp.Batch.block) -> b.Gp.Batch.bk_nmembers) blocks;
-        Printf.printf "%-10s batched speedup %.2fx over compiled (%d structure(s))\n%!"
-          scenario
-          (cc.c_wall_s /. cb.c_wall_s)
-          (List.length blocks);
-        (scenario, cl, cc, cb))
+        Printf.printf "%-10s compiled speedup %.2fx over list\n%!" scenario
+          (cl.c_wall_s /. cc.c_wall_s);
+        (scenario, cl, cc))
       scenarios
   in
-  let batch_count = List.length !batch_sizes in
-  let batch_size_mean =
-    if batch_count = 0 then 0.0
-    else
-      float_of_int (List.fold_left ( + ) 0 !batch_sizes)
-      /. float_of_int batch_count
-  in
-  let batch_size_max = List.fold_left Int.max 0 !batch_sizes in
   let buf = Buffer.create 2048 in
   let f name v b = Json.field b name (fun b -> Json.float b v) in
   let i name v b = Json.field b name (fun b -> Json.int b v) in
@@ -392,15 +305,10 @@ let () =
   in
   let matrix_fields =
     List.concat_map
-      (fun (scenario, cl, cc, cb) ->
+      (fun (scenario, cl, cc) ->
         cell_fields scenario "list" cl
         @ cell_fields scenario "compiled" cc
-        @ cell_fields scenario "batched" cb
-        @ [
-            f
-              (Printf.sprintf "%s_batched_speedup" scenario)
-              (cc.c_wall_s /. cb.c_wall_s);
-          ])
+        @ [ f (Printf.sprintf "%s_compiled_speedup" scenario) (cl.c_wall_s /. cc.c_wall_s) ])
       matrix
   in
   Json.obj buf
@@ -438,13 +346,7 @@ let () =
           per-link lowering costs over the aggregate one. *)
        f "comm_lowering_overhead" comm_overhead;
      ]
-    @ matrix_fields
-    @ [
-        i "batched_structures_compiled" !structures;
-        i "batched_batch_count" batch_count;
-        f "batched_batch_size_mean" batch_size_mean;
-        i "batched_batch_size_max" batch_size_max;
-      ]);
+    @ matrix_fields);
   Buffer.add_char buf '\n';
   let oc = open_out options.out in
   Buffer.output_buffer oc buf;

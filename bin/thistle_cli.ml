@@ -98,25 +98,9 @@ let sweep_max_choices_arg =
         ~doc:"Cap on enumerated permutation choices per layer.")
 
 (* Solver-path knobs shared by the sweep-running subcommands: a term
-   that finishes an [Optimize.config] with the requested kernel/reuse
-   settings. *)
+   that finishes an [Optimize.config] with the requested reuse and
+   presolve settings. *)
 let solver_opts =
-  let kernel_arg =
-    Arg.(
-      value
-      & opt
-          (Arg.enum
-             [ ("compiled", `Compiled); ("list", `List); ("batched", `Batched) ])
-          `Compiled
-      & info [ "gp-kernel" ] ~docv:"KERNEL"
-          ~doc:
-            "GP solver evaluation path: $(b,compiled) (contiguous exponent rows, \
-             structured KKT solves), $(b,batched) (the compiled path over \
-             coefficient batches — programs sharing an exponent structure are \
-             compiled and factored once per structure; results are bit-identical \
-             to $(b,compiled)) or $(b,list) (the legacy closure-per-function \
-             reference path, kept for benchmarks and differential runs).")
-  in
   let no_dedupe_arg =
     Arg.(
       value & flag
@@ -147,16 +131,15 @@ let solver_opts =
              verdict disagrees with the solver; $(b,off) disables the \
              analysis.")
   in
-  let build gp_kernel no_dedupe no_warm presolve config =
+  let build no_dedupe no_warm presolve config =
     {
       config with
-      O.gp_kernel;
-      dedupe = not no_dedupe;
+      O.dedupe = not no_dedupe;
       warm_start = not no_warm;
       presolve;
     }
   in
-  Term.(const build $ kernel_arg $ no_dedupe_arg $ no_warm_arg $ presolve_arg)
+  Term.(const build $ no_dedupe_arg $ no_warm_arg $ presolve_arg)
 
 (* Fault-tolerance knobs (DESIGN §11), composing onto the config the same
    way [solver_opts] does. *)

@@ -73,15 +73,6 @@ let m_warm_starts = Obs.Metrics.counter "solver.warm_starts"
 let m_chol_fallbacks = Obs.Metrics.counter "solver.cholesky_fallbacks"
 let g_gap = Obs.Metrics.gauge "solver.max_duality_gap"
 
-(* Batched-kernel counters (DESIGN §15): structures compiled once per
-   run, members packed into coefficient batches, and the batch-size
-   distribution.  Pure functions of the workload and the kernel choice
-   (wave membership and structure keys never depend on timing), fed
-   sequentially after the waves; all zero unless [gp_kernel = `Batched]. *)
-let m_batch_structures = Obs.Metrics.counter "solver.batch_structures_compiled"
-let m_batch_members = Obs.Metrics.counter "solver.batch_members"
-let h_batch_size = Obs.Metrics.histogram "solver.batch_size"
-
 (* Robustness counters (DESIGN §9/§11): fed sequentially from per-pair
    records after the parallel waves complete, like the solver counters,
    so they are functions of the workload (and injection config) alone. *)
@@ -151,13 +142,7 @@ let config_fingerprint config =
   Printf.sprintf
     "v3|tol=%Lx|kernel=%s|warm=%b|dedupe=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
     (Int64.bits_of_float config.gp_tol)
-    (* [`Batched] returns bit-for-bit the [`Compiled] results (see
-       {!Gp.Solver.solve_batched}), so their journal entries — and serve
-       store entries — are interchangeable, exactly like [Check]/[Off]
-       below. *)
-    (match config.gp_kernel with
-    | `Compiled | `Batched -> "compiled"
-    | `List -> "list")
+    (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list")
     config.warm_start config.dedupe
     (match config.solve_deadline_ms with
     | None -> "none"
@@ -332,7 +317,24 @@ type slot = {
   s_deadline_hits : int;
 }
 
+(* Knobs no sweep can honor are refused up front, naming the field:
+   left alone, a zero shortlist or enumeration cap would surface as a
+   misleading "nothing survived" error, and a NaN deadline compares
+   false against the clock and silently means "no deadline". *)
+let validate config =
+  if config.top_choices < 1 then
+    Error (Printf.sprintf "optimize: top_choices must be >= 1 (got %d)" config.top_choices)
+  else if config.max_choices < 1 then
+    Error (Printf.sprintf "optimize: max_choices must be >= 1 (got %d)" config.max_choices)
+  else
+    match config.solve_deadline_ms with
+    | Some ms when Float.is_nan ms -> Error "optimize: solve_deadline_ms must not be NaN"
+    | Some _ | None -> Ok ()
+
 let run ?(config = default_config) tech arch_mode objective nest =
+  match validate config with
+  | Error _ as e -> e
+  | Ok () ->
   let jobs = Int.max 1 config.jobs in
   let plan = Permutations.enumerate ~max_choices:config.max_choices nest in
   let placements =
@@ -574,57 +576,6 @@ let run ?(config = default_config) tech arch_mode objective nest =
       (red.Analysis.Presolve.reduced, red.Analysis.Presolve.fixed)
     | _ -> (instance.Formulate.problem, [])
   in
-  (* Batched kernel (DESIGN §15): before each wave enters the parallel
-     pool, its pairs are grouped by coefficient-blind structure key — in
-     enumeration order, sequentially — and each group is packed into one
-     coefficient block over a per-structure plan.  Plans are cached
-     across waves (wave 2 usually re-hits every structure wave 1
-     compiled); blocks are per wave.  Point pairs (everything fixed by
-     presolve) never reach the solver and are left out.  Grouping is a
-     function of the enumeration order alone, so the schedule — and
-     with solve_batched bit-identical to the scalar kernel, every
-     result — is unchanged for any [jobs]. *)
-  let batch_plans : (string, Gp.Batch.plan) Hashtbl.t = Hashtbl.create 64 in
-  let batch_slot : (int, Gp.Batch.block * int) Hashtbl.t =
-    Hashtbl.create (2 * npairs)
-  in
-  let batch_sizes = ref [] in
-  let prepare_batches idxs =
-    match config.gp_kernel with
-    | `Compiled | `List -> ()
-    | `Batched ->
-      let groups = Hashtbl.create 64 in
-      let order = ref [] in
-      List.iter
-        (fun i ->
-          let problem, fixed = reduced_of i in
-          if not (fixed <> [] && Gp.Problem.variables problem = []) then begin
-            let key = Gp.Batch.structure_key problem in
-            match Hashtbl.find_opt groups key with
-            | None ->
-              order := key :: !order;
-              Hashtbl.replace groups key (ref [ (i, problem) ])
-            | Some members -> members := (i, problem) :: !members
-          end)
-        idxs;
-      List.iter
-        (fun key ->
-          let members = List.rev !(Hashtbl.find groups key) in
-          let plan =
-            match Hashtbl.find_opt batch_plans key with
-            | Some plan -> plan
-            | None ->
-              let plan = Gp.Batch.compile (snd (List.hd members)) in
-              Hashtbl.replace batch_plans key plan;
-              plan
-          in
-          let block = Gp.Batch.pack plan (Array.of_list (List.map snd members)) in
-          batch_sizes := block.Gp.Batch.bk_nmembers :: !batch_sizes;
-          List.iteri
-            (fun m (i, _) -> Hashtbl.replace batch_slot i (block, m))
-            members)
-        (List.rev !order)
-  in
   (* One guarded solve attempt.  A stall injection forces a zero deadline
      on that attempt, which trips [Deadline_exceeded] deterministically at
      the solver's first check without reading the wall clock.  Retries
@@ -670,19 +621,8 @@ let run ?(config = default_config) tech arch_mode objective nest =
             Obs.Trace.span "solve"
               ~attrs:[ ("provenance", prov) ]
               (fun () ->
-                match config.gp_kernel with
-                | `Batched ->
-                  (* The pair was packed by [prepare_batches] before its
-                     wave started; retries reuse the same slot.  A
-                     missing slot is a scheduling bug — [Robust.guard]
-                     turns the [Not_found] into a quarantined pair
-                     rather than a crashed sweep. *)
-                  let block, mem = Hashtbl.find batch_slot i in
-                  Gp.Solver.solve_batched ~tol:config.gp_tol ~stats:st
-                    ?deadline_ns ~initial_reg ?warm_start block mem
-                | (`Compiled | `List) as kernel ->
-                  Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel
-                    ?deadline_ns ~initial_reg ?warm_start problem))
+                Gp.Solver.solve ~tol:config.gp_tol ~stats:st ~kernel:config.gp_kernel
+                  ?deadline_ns ~initial_reg ?warm_start problem))
       in
       (result, st)
     in
@@ -765,7 +705,6 @@ let run ?(config = default_config) tech arch_mode objective nest =
         rep && results.(i) = None)
       pinned_idx
   in
-  prepare_batches wave1;
   let solved1 =
     Exec.Par.map ~jobs
       (fun i ->
@@ -797,7 +736,6 @@ let run ?(config = default_config) tech arch_mode objective nest =
       other_idx
   in
   List.iter (fun (_, w) -> if w <> None then incr warm_starts) wave2;
-  prepare_batches (List.map fst wave2);
   let solved2 =
     Exec.Par.map ~jobs
       (fun (i, warm_start) ->
@@ -936,11 +874,6 @@ let run ?(config = default_config) tech arch_mode objective nest =
            shard_idx attempts)
   in
   feed_solver_metrics solve_totals;
-  Obs.Metrics.add m_batch_structures (Hashtbl.length batch_plans);
-  Obs.Metrics.add m_batch_members (List.fold_left ( + ) 0 !batch_sizes);
-  List.iter
-    (fun s -> Obs.Metrics.observe h_batch_size (float_of_int s))
-    (List.rev !batch_sizes);
   Obs.Metrics.add m_cache_hits !cache_hits;
   Obs.Metrics.add m_warm_starts !warm_starts;
   Obs.Metrics.add m_journal_hits !journal_hits;

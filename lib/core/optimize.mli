@@ -12,8 +12,8 @@ type config = {
   n_pow2 : int;  (** paper's [N], power-of-two candidates per capacity *)
   top_choices : int;
       (** how many best-by-continuous-objective permutation choices are
-          integerized and model-evaluated *)
-  max_choices : int;  (** cap on enumerated permutation choices *)
+          integerized and model-evaluated; must be >= 1 *)
+  max_choices : int;  (** cap on enumerated permutation choices; must be >= 1 *)
   gp_tol : float;
   explore_placements : bool;
       (** when false, window dims stay at the register level instead of
@@ -87,26 +87,17 @@ type config = {
           changes), never in feasibility or ranking beyond solver
           tolerance.  [solver.warm_starts] counts seeded solves. *)
   gp_kernel : Gp.Solver.kernel;
-      (** solver evaluation/KKT strategy (default [`Compiled]); [`List]
-          selects the legacy closure-per-function path, kept as the
-          reference baseline for benchmarks and differential tests.
-          [`Batched] groups each wave's pairs by coefficient-blind
-          structure key ({!Gp.Batch.structure_key}) before the parallel
-          pool starts, compiles and factors each structure once, and
-          solves members off shared coefficient blocks
-          ({!Gp.Solver.solve_batched}).  Grouping follows enumeration
-          order and the batched solver is bit-identical to [`Compiled],
-          so reports, journals and counters (minus the [solver.batch_*]
-          family) are unchanged for any [jobs]; presolve-pruned and
-          point pairs never enter a batch, and a deadline or crash fails
-          only the affected member. *)
+      (** solver evaluation/KKT strategy (default [`Compiled], the
+          production kernel); [`List] selects the dense
+          closure-per-function path, kept as the reference for
+          benchmarks and differential tests. *)
   solve_deadline_ms : float option;
       (** cooperative wall-clock budget per GP solve (default [None]):
           checked at outer-iteration boundaries, so a solve may overrun
           by one centering.  A deadline hit retries per [retries], then
           quarantines the pair (DESIGN §11).  Positive budgets make the
           set of surviving pairs timing-dependent; determinism tests use
-          injection instead. *)
+          injection instead.  NaN is refused by {!run}. *)
   retries : int;
       (** extra solve attempts after a crash or deadline hit before the
           pair is quarantined (default 1; negative behaves as 0).
@@ -168,10 +159,8 @@ val config_fingerprint : config -> string
     lowering changes the GP, so journaled fates of one model never
     replay under the other; [contention] is excluded — it never changes
     a solve).  Changing any of them invalidates
-    journaled pairs on the next resume.  [`Batched] fingerprints as
-    [`Compiled]: their results are bit-identical, so journal (and serve
-    store) entries are interchangeable between the two kernels.  Exposed
-    for tests; the format is not a stability guarantee. *)
+    journaled pairs on the next resume.  Exposed for tests; the format
+    is not a stability guarantee. *)
 
 val problem_key : Gp.Problem.t -> string
 (** Canonical structural key backing [dedupe]: the exact coefficient and
@@ -236,6 +225,9 @@ val run :
   Formulate.objective ->
   Workload.Nest.t ->
   (report, string) result
+(** One co-design sweep.  A config with [top_choices < 1],
+    [max_choices < 1] or a NaN [solve_deadline_ms] is refused with an
+    [Error] naming the field, before any work. *)
 
 val dataflow :
   ?config:config ->

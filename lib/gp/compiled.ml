@@ -1,56 +1,45 @@
 module Vec = Linalg.Vec
-module Mat = Linalg.Mat
 module M = Symexpr.Monomial
 module P = Symexpr.Posynomial
 
-(* One compiled convex function
-
-     F(y) = log sum_k exp(row_k . y + b_k)  +  lin . y  +  lin_const
-
-   (the log-sum-exp part absent when [nterms = 0]).  The exponent rows
-   are stored as one contiguous sparsity index: term [k]'s nonzero
-   entries are [idx]/[coef] positions [starts.(k) .. starts.(k+1) - 1],
-   ascending by variable index.  Most monomial rows of a Thistle
-   formulation touch <= 4 of the ~12 problem variables, so the tight
-   loops below do a small fraction of the work of the dense
-   [Smooth.log_sum_exp] walk while executing the {e same} float
-   operations in the {e same} order — see the bit-identity note in the
-   interface. *)
-type t = {
-  n : int;
-  nterms : int;
-  starts : int array;
-  idx : int array;
-  coef : float array;
-  b : float array;
-  lin_idx : int array;
-  lin_coef : float array;
-  lin_const : float;
-  support : int array;
-  es : float array;  (* per-term scratch: exponents, then softmax weights *)
+type fn = {
+  f_nterms : int;
+  f_starts : int array;
+  f_idx : int array;
+  f_coef : float array;
+  f_b : float array;
+  f_support : int array;
+  f_lin_idx : int array;
+  f_lin_coef : float array;
+  f_lin_const : float;
 }
 
-let dim t = t.n
+type t = {
+  vars : string list;
+  n : int;
+  index : (string, int) Hashtbl.t;
+  objective : fn;
+  ineqs : fn array;
+  rows : Vec.t array;
+  rhs : float array;
+  consistent : bool;
+  max_terms : int;
+}
 
-let support t = t.support
-
-let num_terms t = t.nterms
-
-let merge_support lists =
+(* Distinct indices, ascending. *)
+let merged_support lists =
   let tbl = Hashtbl.create 16 in
   List.iter (fun l -> Array.iter (fun i -> Hashtbl.replace tbl i ()) l) lists;
   let s = Array.of_seq (Seq.map fst (Hashtbl.to_seq tbl)) in
   Array.sort compare s;
   s
 
-let of_sparse_terms n sparse =
+let of_sparse_terms sparse =
   if sparse = [] then invalid_arg "Gp.Compiled.of_sparse_terms: empty term list";
   let nterms = List.length sparse in
   let starts = Array.make (nterms + 1) 0 in
   let b = Array.make nterms 0.0 in
-  let total =
-    List.fold_left (fun acc (entries, _) -> acc + List.length entries) 0 sparse
-  in
+  let total = List.fold_left (fun acc (entries, _) -> acc + List.length entries) 0 sparse in
   let idx = Array.make total 0 in
   let coef = Array.make total 0.0 in
   List.iteri
@@ -59,8 +48,7 @@ let of_sparse_terms n sparse =
       let pos = ref starts.(k) in
       List.iter
         (fun (i, c) ->
-          if i < 0 || i >= n then
-            invalid_arg "Gp.Compiled.of_sparse_terms: variable index out of range";
+          if i < 0 then invalid_arg "Gp.Compiled.of_sparse_terms: negative variable index";
           idx.(!pos) <- i;
           coef.(!pos) <- c;
           incr pos)
@@ -75,46 +63,20 @@ let of_sparse_terms n sparse =
         invalid_arg "Gp.Compiled.of_sparse_terms: indices not strictly ascending"
     done
   done;
-  let row k =
-    Array.init (starts.(k + 1) - starts.(k)) (fun p -> idx.(starts.(k) + p))
-  in
+  let row k = Array.init (starts.(k + 1) - starts.(k)) (fun p -> idx.(starts.(k) + p)) in
   {
-    n;
-    nterms;
-    starts;
-    idx;
-    coef;
-    b;
-    lin_idx = [||];
-    lin_coef = [||];
-    lin_const = 0.0;
-    support = merge_support (List.init nterms row);
-    es = Array.make nterms 0.0;
+    f_nterms = nterms;
+    f_starts = starts;
+    f_idx = idx;
+    f_coef = coef;
+    f_b = b;
+    f_support = merged_support (List.init nterms row);
+    f_lin_idx = [||];
+    f_lin_coef = [||];
+    f_lin_const = 0.0;
   }
 
-let of_terms n terms =
-  if terms = [] then invalid_arg "Gp.Compiled.of_terms: empty term list";
-  List.iter
-    (fun (a, _) ->
-      if Vec.dim a <> n then invalid_arg "Gp.Compiled.of_terms: dimension mismatch")
-    terms;
-  let sparse =
-    List.map
-      (fun (a, bk) ->
-        let entries = ref [] in
-        for i = Vec.dim a - 1 downto 0 do
-          if a.(i) <> 0.0 then entries := (i, a.(i)) :: !entries
-        done;
-        (!entries, bk))
-      terms
-  in
-  of_sparse_terms n sparse
-
-(* Lowering straight from a posynomial, given the problem's variable
-   index.  Monomial exponents are sorted by variable name, and the index
-   maps names in that same (sorted) order, so the entries come out
-   ascending by index without an explicit sort. *)
-let of_posynomial n index p =
+let of_posynomial index p =
   let term m =
     let entries =
       List.sort
@@ -123,166 +85,201 @@ let of_posynomial n index p =
     in
     (entries, log (M.coeff m))
   in
-  of_sparse_terms n (List.map term (P.terms p))
+  of_sparse_terms (List.map term (P.terms p))
 
-let affine n entries const =
-  List.iter
-    (fun (i, _) ->
-      if i < 0 || i >= n then invalid_arg "Gp.Compiled.affine: index out of range")
-    entries;
+let affine entries const =
   let entries = List.sort (fun (i, _) (j, _) -> compare i j) entries in
   let entries = List.filter (fun (_, c) -> c <> 0.0) entries in
   {
-    n;
-    nterms = 0;
-    starts = [| 0 |];
-    idx = [||];
-    coef = [||];
-    b = [||];
-    lin_idx = Array.of_list (List.map fst entries);
-    lin_coef = Array.of_list (List.map snd entries);
-    lin_const = const;
-    support = Array.of_list (List.map fst entries);
-    es = [||];
+    f_nterms = 0;
+    f_starts = [| 0 |];
+    f_idx = [||];
+    f_coef = [||];
+    f_b = [||];
+    f_support = Array.of_list (List.map fst entries);
+    f_lin_idx = Array.of_list (List.map fst entries);
+    f_lin_coef = Array.of_list (List.map snd entries);
+    f_lin_const = const;
   }
 
-let extend t extra =
-  if extra < 0 then invalid_arg "Gp.Compiled.extend: negative extension";
-  { t with n = t.n + extra; es = Array.make t.nterms 0.0 }
-
-let add_linear t i c =
-  if i < 0 || i >= t.n then invalid_arg "Gp.Compiled.add_linear: index out of range";
-  if Array.exists (( = ) i) t.lin_idx then
-    invalid_arg "Gp.Compiled.add_linear: index already has a linear term";
+let minus_slack s f =
   {
-    t with
-    lin_idx = Array.append t.lin_idx [| i |];
-    lin_coef = Array.append t.lin_coef [| c |];
-    support = merge_support [ t.support; [| i |] ];
-    es = Array.make t.nterms 0.0;
+    f with
+    f_lin_idx = Array.append f.f_lin_idx [| s |];
+    f_lin_coef = Array.append f.f_lin_coef [| -1.0 |];
+    f_support = merged_support [ f.f_support; [| s |] ];
   }
+
+let compile problem =
+  let vars = Problem.variables problem in
+  let n = List.length vars in
+  let index = Hashtbl.create (2 * n) in
+  List.iteri (fun i x -> Hashtbl.replace index x i) vars;
+  let objective = of_posynomial index (Problem.objective problem) in
+  let ineqs = Array.of_list (List.map (fun (_, p) -> of_posynomial index p) (Problem.ineqs problem)) in
+  (* Equality rows [a . y = -log c]: structurally nonzero rows are kept
+     in source order; an all-zero row reduces to [0 = -log c], which is
+     consistent only when [c ~ 1]. *)
+  let eqs =
+    List.map
+      (fun (_, m) ->
+        let a = Vec.create n in
+        List.iter (fun (x, e) -> a.(Hashtbl.find index x) <- e) (M.exponents m);
+        (a, -.log (M.coeff m)))
+      (Problem.eqs problem)
+  in
+  let nonzero, zero = List.partition (fun (a, _) -> Vec.norm_inf a > 0.0) eqs in
+  {
+    vars;
+    n;
+    index;
+    objective;
+    ineqs;
+    rows = Array.of_list (List.map fst nonzero);
+    rhs = Array.of_list (List.map snd nonzero);
+    consistent = List.for_all (fun (_, d) -> not (Float.abs d > 1e-9)) zero;
+    max_terms = Array.fold_left (fun acc f -> max acc f.f_nterms) objective.f_nterms ineqs;
+  }
+
+(* --- flat evaluation --------------------------------------------------- *)
 
 (* Sparse row dot: identical accumulation order (ascending index) and
    identical bits to the dense [Vec.dot] for finite [y] — the skipped
    entries contribute exactly [+0.0] or [-0.0], which never changes a
    partial sum that started at [+0.0]. *)
-let row_dot t k y =
+let row_dot f k y =
   let acc = ref 0.0 in
-  for p = t.starts.(k) to t.starts.(k + 1) - 1 do
-    acc := !acc +. (t.coef.(p) *. y.(t.idx.(p)))
+  let last = Array.unsafe_get f.f_starts (k + 1) - 1 in
+  for p = Array.unsafe_get f.f_starts k to last do
+    acc :=
+      !acc
+      +. Array.unsafe_get f.f_coef p
+         *. Array.unsafe_get y (Array.unsafe_get f.f_idx p)
   done;
   !acc
 
-let linear_part t y =
+let linear_part f y =
   let acc = ref 0.0 in
-  for p = 0 to Array.length t.lin_idx - 1 do
-    acc := !acc +. (t.lin_coef.(p) *. y.(t.lin_idx.(p)))
+  for p = 0 to Array.length f.f_lin_idx - 1 do
+    acc :=
+      !acc
+      +. Array.unsafe_get f.f_lin_coef p
+         *. Array.unsafe_get y (Array.unsafe_get f.f_lin_idx p)
   done;
   !acc
 
-let lse_value t y =
-  let es = t.es in
-  for k = 0 to t.nterms - 1 do
-    es.(k) <- row_dot t k y +. t.b.(k)
+let lse_value f ~es y =
+  for k = 0 to f.f_nterms - 1 do
+    Array.unsafe_set es k (row_dot f k y +. Array.unsafe_get f.f_b k)
   done;
   let m = ref neg_infinity in
-  for k = 0 to t.nterms - 1 do
-    m := Float.max !m es.(k)
+  for k = 0 to f.f_nterms - 1 do
+    m := Float.max !m (Array.unsafe_get es k)
   done;
   let z = ref 0.0 in
-  for k = 0 to t.nterms - 1 do
-    z := !z +. exp (es.(k) -. !m)
+  for k = 0 to f.f_nterms - 1 do
+    z := !z +. exp (Array.unsafe_get es k -. !m)
   done;
   !m +. log !z
 
-let value t y =
+let value f ~es y =
   let v =
-    if t.nterms = 0 then linear_part t y
-    else if Array.length t.lin_idx = 0 then lse_value t y
-    else lse_value t y +. linear_part t y
+    if f.f_nterms = 0 then linear_part f y
+    else if Array.length f.f_lin_idx = 0 then lse_value f ~es y
+    else lse_value f ~es y +. linear_part f y
   in
-  if t.lin_const <> 0.0 then v +. t.lin_const else v
+  if f.f_lin_const <> 0.0 then v +. f.f_lin_const else v
 
-let eval_into t y ~grad ~hess =
+let eval_into f ~es ~grad ~hess ~hn y =
   (* Clear only the support entries: the caller's buffers are reused
-     across evaluations of different functions and may hold stale data,
-     but everything outside the support is left untouched by contract. *)
-  let support = t.support in
+     across functions and may hold stale data. *)
+  let support = f.f_support in
   let ns = Array.length support in
   for a = 0 to ns - 1 do
-    grad.(support.(a)) <- 0.0
+    Array.unsafe_set grad (Array.unsafe_get support a) 0.0
   done;
   for a = 0 to ns - 1 do
+    let base = Array.unsafe_get support a * hn in
     for bj = 0 to ns - 1 do
-      Mat.set hess support.(a) support.(bj) 0.0
+      Array.unsafe_set hess (base + Array.unsafe_get support bj) 0.0
     done
   done;
   let v_lse =
-    if t.nterms = 0 then 0.0
+    if f.f_nterms = 0 then 0.0
     else begin
-      let es = t.es in
-      for k = 0 to t.nterms - 1 do
-        es.(k) <- row_dot t k y +. t.b.(k)
+      for k = 0 to f.f_nterms - 1 do
+        Array.unsafe_set es k (row_dot f k y +. Array.unsafe_get f.f_b k)
       done;
       let m = ref neg_infinity in
-      for k = 0 to t.nterms - 1 do
-        m := Float.max !m es.(k)
+      for k = 0 to f.f_nterms - 1 do
+        m := Float.max !m (Array.unsafe_get es k)
       done;
       let m = !m in
       (* Reuse [es] for the softmax weights, then probabilities. *)
-      for k = 0 to t.nterms - 1 do
-        es.(k) <- exp (es.(k) -. m)
+      for k = 0 to f.f_nterms - 1 do
+        Array.unsafe_set es k (exp (Array.unsafe_get es k -. m))
       done;
       let z = ref 0.0 in
-      for k = 0 to t.nterms - 1 do
-        z := !z +. es.(k)
+      for k = 0 to f.f_nterms - 1 do
+        z := !z +. Array.unsafe_get es k
       done;
       let z = !z in
       let v = m +. log z in
-      for k = 0 to t.nterms - 1 do
-        es.(k) <- es.(k) /. z
+      for k = 0 to f.f_nterms - 1 do
+        Array.unsafe_set es k (Array.unsafe_get es k /. z)
       done;
       (* grad = sum_k p_k row_k, accumulated term-major like the list
          walk. *)
-      for k = 0 to t.nterms - 1 do
-        let p = es.(k) in
-        for q = t.starts.(k) to t.starts.(k + 1) - 1 do
-          let i = t.idx.(q) in
-          grad.(i) <- grad.(i) +. (p *. t.coef.(q))
+      for k = 0 to f.f_nterms - 1 do
+        let p = Array.unsafe_get es k in
+        for q = Array.unsafe_get f.f_starts k to Array.unsafe_get f.f_starts (k + 1) - 1 do
+          let i = Array.unsafe_get f.f_idx q in
+          Array.unsafe_set grad i
+            (Array.unsafe_get grad i +. (p *. Array.unsafe_get f.f_coef q))
         done
       done;
       (* hess = sum_k p_k row_k row_k^T - grad grad^T.  The rank-one
          subtraction must use the pure log-sum-exp gradient, before any
          linear adjustment below. *)
-      for k = 0 to t.nterms - 1 do
-        let p = es.(k) in
-        for q = t.starts.(k) to t.starts.(k + 1) - 1 do
-          let i = t.idx.(q) in
-          let pai = p *. t.coef.(q) in
-          if pai <> 0.0 then
-            for r = t.starts.(k) to t.starts.(k + 1) - 1 do
-              Mat.add_to hess i t.idx.(r) (pai *. t.coef.(r))
+      for k = 0 to f.f_nterms - 1 do
+        let p = Array.unsafe_get es k in
+        let first = Array.unsafe_get f.f_starts k in
+        let last = Array.unsafe_get f.f_starts (k + 1) - 1 in
+        for q = first to last do
+          let i = Array.unsafe_get f.f_idx q in
+          let pai = p *. Array.unsafe_get f.f_coef q in
+          if pai <> 0.0 then begin
+            let base = i * hn in
+            for r = first to last do
+              let o = base + Array.unsafe_get f.f_idx r in
+              Array.unsafe_set hess o
+                (Array.unsafe_get hess o +. (pai *. Array.unsafe_get f.f_coef r))
             done
+          end
         done
       done;
       for a = 0 to ns - 1 do
-        let i = support.(a) in
-        let gi = grad.(i) in
+        let i = Array.unsafe_get support a in
+        let gi = Array.unsafe_get grad i in
+        let base = i * hn in
         for bj = 0 to ns - 1 do
-          let j = support.(bj) in
-          Mat.add_to hess i j (-.(gi *. grad.(j)))
+          let j = Array.unsafe_get support bj in
+          let o = base + j in
+          Array.unsafe_set hess o
+            (Array.unsafe_get hess o +. -.(gi *. Array.unsafe_get grad j))
         done
       done;
       v
     end
   in
-  for p = 0 to Array.length t.lin_idx - 1 do
-    let i = t.lin_idx.(p) in
-    grad.(i) <- grad.(i) +. t.lin_coef.(p)
+  for p = 0 to Array.length f.f_lin_idx - 1 do
+    let i = Array.unsafe_get f.f_lin_idx p in
+    Array.unsafe_set grad i
+      (Array.unsafe_get grad i +. Array.unsafe_get f.f_lin_coef p)
   done;
   let v =
-    if t.nterms = 0 then linear_part t y
-    else if Array.length t.lin_idx = 0 then v_lse
-    else v_lse +. linear_part t y
+    if f.f_nterms = 0 then linear_part f y
+    else if Array.length f.f_lin_idx = 0 then v_lse
+    else v_lse +. linear_part f y
   in
-  if t.lin_const <> 0.0 then v +. t.lin_const else v
+  if f.f_lin_const <> 0.0 then v +. f.f_lin_const else v

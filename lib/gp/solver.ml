@@ -1,13 +1,12 @@
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 module P = Symexpr.Posynomial
-module M = Symexpr.Monomial
 
 type status = Optimal | Infeasible | Iteration_limit | Deadline_exceeded
 
 type solution = { status : status; values : (string * float) list; objective : float }
 
-type kernel = [ `Compiled | `List | `Batched ]
+type kernel = [ `Compiled | `List ]
 
 let lookup sol x =
   match List.assoc_opt x sol.values with
@@ -121,34 +120,13 @@ let log_src = Logs.Src.create "gp.solver" ~doc:"Geometric-program solver"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* ------------------------------------------------------------------ *)
-(* Lowering to log space                                              *)
-(* ------------------------------------------------------------------ *)
-
-let compile_posynomial n index p =
-  let term m =
-    let a = Vec.create n in
-    List.iter (fun (x, e) -> a.(Hashtbl.find index x) <- e) (M.exponents m);
-    (a, log (M.coeff m))
-  in
-  Smooth.log_sum_exp n (List.map term (P.terms p))
-
-(* Equality rows: monomial [c * prod t^a = 1] becomes [a . y = -log c]. *)
-let equality_rows n index eqs =
-  let row (_, m) =
-    let a = Vec.create n in
-    List.iter (fun (x, e) -> a.(Hashtbl.find index x) <- e) (M.exponents m);
-    (a, -.log (M.coeff m))
-  in
-  List.map row eqs
-
-(* ------------------------------------------------------------------ *)
-(* Dense KKT path (shared by the list kernel and the compiled         *)
-(* kernel's fallback)                                                 *)
+(* Dense KKT path (the list kernel, and the flat kernel's fallback)   *)
 (* ------------------------------------------------------------------ *)
 
 (* Newton step keeping A y = const: KKT system
    [H + reg I, A^T; A, 0] [dy; w] = [-grad; 0], solved densely by LU. *)
-let solve_kkt_dense ~hess ~grad ~rows n p reg =
+let solve_kkt_dense ~hess ~grad ~(rows : Vec.t array) n reg =
+  let p = Array.length rows in
   let dim = n + p in
   let kkt = Mat.create dim dim in
   for i = 0 to n - 1 do
@@ -157,8 +135,8 @@ let solve_kkt_dense ~hess ~grad ~rows n p reg =
     done;
     Mat.add_to kkt i i reg
   done;
-  List.iteri
-    (fun k (a, _) ->
+  Array.iteri
+    (fun k a ->
       for j = 0 to n - 1 do
         Mat.set kkt (n + k) j a.(j);
         Mat.set kkt j (n + k) a.(j)
@@ -170,9 +148,9 @@ let solve_kkt_dense ~hess ~grad ~rows n p reg =
   done;
   Vec.slice (Mat.lu_solve kkt rhs) 0 n
 
-let attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p =
+let attempt_dense ~st ~initial_reg ~hess ~grad ~rows n =
   let rec attempt reg tries =
-    match solve_kkt_dense ~hess ~grad ~rows n p reg with
+    match solve_kkt_dense ~hess ~grad ~rows n reg with
     | dy -> Some dy
     | exception Mat.Singular ->
       if tries <= 0 then None
@@ -187,14 +165,13 @@ let attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p =
 (* Equality-constrained Newton centering — list kernel                *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimize  barrier_t * f0(y) - sum_i log (-f_i(y))  subject to [a] y
-   fixed to its value at [y0] (the start must satisfy the equalities and
-   be strictly feasible for the inequalities).  This is the pre-compiled
-   reference path, kept verbatim as the benchmark baseline. *)
+(* Minimize  barrier_t * f0(y) - sum_i log (-f_i(y))  subject to [rows]
+   y fixed to its value at [y0] (the start must satisfy the equalities
+   and be strictly feasible for the inequalities).  Closure-per-function
+   evaluation and a dense LU KKT solve per step: the reference path. *)
 let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
     ~(ineqs : Smooth.t list) ~rows y0 =
   let n = Vec.dim y0 in
-  let p = List.length rows in
   let phi y =
     let acc = ref (barrier_t *. objective.Smooth.value y) in
     let ok = ref true in
@@ -229,7 +206,7 @@ let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
           done
         done)
       ineqs;
-    match attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p with
+    match attempt_dense ~st ~initial_reg ~hess ~grad ~rows n with
     | None ->
       (* The KKT system is numerically singular even with heavy
          regularization: accept the current (feasible) point. *)
@@ -264,50 +241,14 @@ let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
   !y
 
 (* ------------------------------------------------------------------ *)
-(* Equality-constrained Newton centering — compiled kernel            *)
+(* Equality-constrained Newton centering — compiled (flat) kernel     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-solve workspace: every buffer the compiled centering needs, sized
-   once for a given (n, p) and reused across Newton steps, barrier
-   updates and regularization retries.  The cache lives in the [solve]
-   call (one per kernel instantiation), so concurrent solves never share
-   a workspace. *)
-type ws = {
-  w_grad : Vec.t;  (* combined barrier gradient *)
-  w_hess : Mat.t;  (* combined barrier Hessian *)
-  w_gi : Vec.t;  (* per-function gradient buffer (support entries valid) *)
-  w_hi : Mat.t;  (* per-function Hessian buffer (support block valid) *)
-  w_dy : Vec.t;  (* Newton direction *)
-}
-
-let make_ws n =
-  {
-    w_grad = Vec.create n;
-    w_hess = Mat.create n n;
-    w_gi = Vec.create n;
-    w_hi = Mat.create n n;
-    w_dy = Vec.create n;
-  }
-
-let get_ws cache n =
-  match Hashtbl.find_opt cache n with
-  | Some ws -> ws
-  | None ->
-    let ws = make_ws n in
-    Hashtbl.add cache n ws;
-    ws
-
-(* Orthonormal nullspace bases live in [Mat.nullspace_basis] (moved
-   there so the batched plan compiler can share them); the function is
-   pure, so per-centering and per-structure computations agree bit for
-   bit. *)
-let nullspace_basis = Mat.nullspace_basis
-
-(* Same minimization as [centering_list], but over compiled functions:
-   sparse evaluation into reused buffers and a structured KKT solve.
-   With [Z] an orthonormal basis of null(A) (computed once per centering
-   call — the rows never change within one), the equality-constrained
-   Newton step reduces to the SPD system
+(* The same minimization over {!Compiled} functions: sparse evaluation
+   into flat reused buffers and a structured KKT solve.  With [Z] an
+   orthonormal basis of null(A) (computed once per solve and phase —
+   the rows never change within one), the equality-constrained Newton
+   step reduces to the SPD system
 
      (Z^T H Z + reg I) u = Z^T (-grad),   dy = Z u
 
@@ -315,30 +256,90 @@ let nullspace_basis = Mat.nullspace_basis
    by construction, unlike a range-space (Schur-complement) elimination,
    which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
    curvature-free log-linear directions every GP formulation has. *)
-let centering_compiled ~ws_cache ~initial_reg ~st ~barrier_t ~(objective : Compiled.t)
-    ~(ineqs : Compiled.t list) ~rows y0 =
-  let n = Vec.dim y0 in
-  let p = List.length rows in
-  let ws = get_ws ws_cache n in
-  let rows_arr = Array.of_list (List.map fst rows) in
-  let zbasis = nullspace_basis n rows_arr in
+
+(* The function set of one phase. *)
+type fset = {
+  fs_n : int;
+  fs_obj : Compiled.fn;
+  fs_ineqs : Compiled.fn array;
+  fs_zbasis : Vec.t array;
+  fs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
+}
+
+(* Per-phase workspace, owned by one solve. *)
+type ws = {
+  w_y : float array;
+  w_cand : float array;
+  w_grad : float array;
+  w_hess : float array;  (* n * n, stride n *)
+  w_gi : float array;
+  w_hi : float array;  (* n * n, stride n *)
+  w_dy : float array;
+  w_es : float array;
+  w_vis : float array;  (* per-inequality values at the current iterate *)
+  w_hz : Vec.t array;
+  w_hr : Mat.t;
+  w_hr0 : float array;  (* pristine reduced Hessian, lower triangle, stride q *)
+  w_u : Vec.t;
+  w_u0 : float array;  (* pristine reduced RHS *)
+}
+
+let make_ws ~n ~q ~max_terms ~nineqs =
+  {
+    w_y = Array.make n 0.0;
+    w_cand = Array.make n 0.0;
+    w_grad = Array.make n 0.0;
+    w_hess = Array.make (n * n) 0.0;
+    w_gi = Array.make n 0.0;
+    w_hi = Array.make (n * n) 0.0;
+    w_dy = Array.make n 0.0;
+    w_es = Array.make (max 1 max_terms) 0.0;
+    w_vis = Array.make (max 1 nineqs) 0.0;
+    w_hz = Array.init q (fun _ -> Vec.create n);
+    w_hr = Mat.create q q;
+    w_hr0 = Array.make (max 1 (q * q)) 0.0;
+    w_u = Vec.create q;
+    w_u0 = Array.make (max 1 q) 0.0;
+  }
+
+let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
+  let n = fset.fs_n in
+  let nineq = Array.length fset.fs_ineqs in
+  let zbasis = fset.fs_zbasis in
   let q = Array.length zbasis in
-  let hz = Array.init q (fun _ -> Vec.create n) in
-  let hr = Mat.create q q in
-  let u = Vec.create q in
-  let phi y =
-    let acc = ref (barrier_t *. Compiled.value objective y) in
-    let ok = ref true in
-    List.iter
-      (fun g ->
-        let v = Compiled.value g y in
-        if v >= 0.0 then ok := false else acc := !acc -. log (-.v))
-      ineqs;
-    if !ok then Some !acc else None
-  in
   let grad = ws.w_grad in
   let hess = ws.w_hess in
-  let y = ref (Vec.copy y0) in
+  let gi = ws.w_gi in
+  let hi = ws.w_hi in
+  let es = ws.w_es in
+  let vis = ws.w_vis in
+  let y = ws.w_y in
+  if y != y0 then Array.blit y0 0 y 0 n;
+  (* Line-search merit value at a candidate, [None] when any inequality
+     is >= 0.  Stopping at the first such value skips only pure
+     computations.  A NaN value never triggers the exit ([v >= 0.0] is
+     false for NaN); the accept test below then fails on the NaN merit
+     value instead. *)
+  let phi_cand cand =
+    let ok = ref true in
+    let i = ref 0 in
+    while !ok && !i < nineq do
+      let v = Compiled.value (Array.unsafe_get fset.fs_ineqs !i) ~es cand in
+      if v >= 0.0 then ok := false
+      else begin
+        Array.unsafe_set vis !i v;
+        incr i
+      end
+    done;
+    if not !ok then None
+    else begin
+      let acc = ref (barrier_t *. Compiled.value fset.fs_obj ~es cand) in
+      for j = 0 to nineq - 1 do
+        acc := !acc -. log (-.Array.unsafe_get vis j)
+      done;
+      Some !acc
+    end
+  in
   let converged = ref false in
   let iter = ref 0 in
   while (not !converged) && !iter < 80 do
@@ -346,76 +347,101 @@ let centering_compiled ~ws_cache ~initial_reg ~st ~barrier_t ~(objective : Compi
     st.newton_iters <- st.newton_iters + 1;
     (* Combined gradient/Hessian of barrier_t * f0 - sum log(-f_i).  The
        buffers are cleared in full: variables appearing only in equality
-       rows are outside every support, yet the factorization reads the
-       whole lower triangle. *)
-    Vec.fill grad 0.0;
-    Mat.fill hess 0.0;
-    ignore (Compiled.eval_into objective !y ~grad:ws.w_gi ~hess:ws.w_hi);
-    let sup0 = Compiled.support objective in
+       rows are outside every support, yet the reduction reads all of
+       them. *)
+    Array.fill grad 0 n 0.0;
+    Array.fill hess 0 (n * n) 0.0;
+    let v0 = Compiled.eval_into fset.fs_obj ~es ~grad:gi ~hess:hi ~hn:n y in
+    let sup0 = fset.fs_obj.Compiled.f_support in
     let ns0 = Array.length sup0 in
     for a = 0 to ns0 - 1 do
-      let i = sup0.(a) in
-      grad.(i) <- barrier_t *. ws.w_gi.(i);
+      let i = Array.unsafe_get sup0 a in
+      Array.unsafe_set grad i (barrier_t *. Array.unsafe_get gi i);
+      let base = i * n in
       for b = 0 to ns0 - 1 do
-        let j = sup0.(b) in
-        Mat.set hess i j (barrier_t *. Mat.get ws.w_hi i j)
+        let j = Array.unsafe_get sup0 b in
+        Array.unsafe_set hess (base + j) (barrier_t *. Array.unsafe_get hi (base + j))
       done
     done;
-    List.iter
-      (fun g ->
-        let vi = Compiled.eval_into g !y ~grad:ws.w_gi ~hess:ws.w_hi in
-        (* vi < 0 by the line-search invariant *)
-        let inv = -1.0 /. vi in
-        let sup = Compiled.support g in
-        let ns = Array.length sup in
-        for a = 0 to ns - 1 do
-          let i = sup.(a) in
-          grad.(i) <- grad.(i) +. (inv *. ws.w_gi.(i))
-        done;
-        for a = 0 to ns - 1 do
-          let i = sup.(a) in
-          let gi_i = ws.w_gi.(i) in
-          for b = 0 to ns - 1 do
-            let j = sup.(b) in
-            Mat.add_to hess i j
-              ((inv *. Mat.get ws.w_hi i j) +. (inv *. inv *. gi_i *. ws.w_gi.(j)))
-          done
-        done)
-      ineqs;
+    for gidx = 0 to nineq - 1 do
+      let g = Array.unsafe_get fset.fs_ineqs gidx in
+      let vi = Compiled.eval_into g ~es ~grad:gi ~hess:hi ~hn:n y in
+      Array.unsafe_set vis gidx vi;
+      (* vi < 0 by the line-search invariant *)
+      let inv = -1.0 /. vi in
+      let sup = g.Compiled.f_support in
+      let ns = Array.length sup in
+      for a = 0 to ns - 1 do
+        let i = Array.unsafe_get sup a in
+        Array.unsafe_set grad i (Array.unsafe_get grad i +. (inv *. Array.unsafe_get gi i))
+      done;
+      for a = 0 to ns - 1 do
+        let i = Array.unsafe_get sup a in
+        let gi_i = Array.unsafe_get gi i in
+        let base = i * n in
+        for b = 0 to ns - 1 do
+          let j = Array.unsafe_get sup b in
+          let o = base + j in
+          Array.unsafe_set hess o
+            (Array.unsafe_get hess o
+            +. ((inv *. Array.unsafe_get hi o) +. (inv *. inv *. gi_i *. Array.unsafe_get gi j))
+            )
+        done
+      done
+    done;
     (* Structured KKT solve in the nullspace basis: the products
-       [hz_j = H z_j] are fixed for this step, the reduced matrix is
-       rebuilt cheaply on each regularization retry. *)
+       [hz_j = H z_j], the reduced Hessian entries [z_j . hz_l] and the
+       reduced RHS [-z_j . grad] are fixed for this step, so they are
+       computed once and replayed on every regularization retry. *)
     for j = 0 to q - 1 do
       let zj = zbasis.(j) in
-      let hzj = hz.(j) in
+      let hzj = ws.w_hz.(j) in
       for i = 0 to n - 1 do
+        let base = i * n in
         let acc = ref 0.0 in
         for k = 0 to n - 1 do
-          acc := !acc +. (Mat.get hess i k *. zj.(k))
+          acc := !acc +. (Array.unsafe_get hess (base + k) *. Array.unsafe_get zj k)
         done;
-        hzj.(i) <- !acc
+        Array.unsafe_set hzj i !acc
       done
     done;
+    let hr0 = ws.w_hr0 and u0 = ws.w_u0 in
+    for j = 0 to q - 1 do
+      let zj = zbasis.(j) in
+      for l = 0 to j do
+        let hzl = ws.w_hz.(l) in
+        let acc = ref 0.0 in
+        for i = 0 to n - 1 do
+          acc := !acc +. (Array.unsafe_get zj i *. Array.unsafe_get hzl i)
+        done;
+        Array.unsafe_set hr0 ((j * q) + l) !acc
+      done;
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        acc := !acc +. (Array.unsafe_get zj i *. Array.unsafe_get grad i)
+      done;
+      Array.unsafe_set u0 j (-. !acc)
+    done;
     let solve_structured reg =
+      let hr = ws.w_hr in
+      let u = ws.w_u in
       for j = 0 to q - 1 do
         for l = 0 to j do
-          Mat.set hr j l (Vec.dot zbasis.(j) hz.(l))
+          Mat.set hr j l (Array.unsafe_get hr0 ((j * q) + l))
         done;
         Mat.add_to hr j j reg
       done;
       Mat.cholesky_in_place hr;
-      for j = 0 to q - 1 do
-        u.(j) <- -.(Vec.dot zbasis.(j) grad)
-      done;
+      Array.blit u0 0 u 0 q;
       Mat.cholesky_solve_in_place hr u;
       let dy = ws.w_dy in
-      Vec.fill dy 0.0;
+      Array.fill dy 0 n 0.0;
       for j = 0 to q - 1 do
         let uj = u.(j) in
         if uj <> 0.0 then begin
           let zj = zbasis.(j) in
           for i = 0 to n - 1 do
-            dy.(i) <- dy.(i) +. (uj *. zj.(i))
+            Array.unsafe_set dy i (Array.unsafe_get dy i +. (uj *. Array.unsafe_get zj i))
           done
         end
       done;
@@ -439,7 +465,8 @@ let centering_compiled ~ws_cache ~initial_reg ~st ~barrier_t ~(objective : Compi
            indefinite Hessian from numerical noise): fall back once to
            the dense pivoted-LU KKT path before giving up on the step. *)
         st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
-        attempt_dense ~st ~initial_reg ~hess ~grad ~rows n p
+        let hess_m = Mat.init n n (fun i j -> hess.((i * n) + j)) in
+        attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows:fset.fs_rows n
     in
     match dy with
     | None ->
@@ -447,88 +474,55 @@ let centering_compiled ~ws_cache ~initial_reg ~st ~barrier_t ~(objective : Compi
          (feasible) point. *)
       converged := true
     | Some dy ->
-    let slope = Vec.dot grad dy in
-    let lambda2 = -.slope in
-    if lambda2 /. 2.0 < 1e-10 then converged := true
-    else begin
-      (* Backtracking line search with the strict-feasibility invariant. *)
-      let phi0 =
-        match phi !y with
-        | Some v -> v
-        | None -> invalid_arg "Gp.Solver: centering started at an infeasible point"
-      in
-      let rec search alpha tries =
-        if tries <= 0 then None
-        else begin
-          let cand = Vec.axpy alpha dy !y in
-          match phi cand with
-          | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> Some cand
-          | _ ->
-            st.backtracks <- st.backtracks + 1;
-            search (alpha /. 2.0) (tries - 1)
-        end
-      in
-      match search 1.0 60 with
-      | Some cand -> y := cand
-      | None -> converged := true (* cannot make progress; accept the point *)
-    end
-  done;
-  !y
-
-(* ------------------------------------------------------------------ *)
-(* Kernel dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The barrier and phase-I drivers are written once against this record
-   so both kernels run through identical control flow — the kernels
-   differ only in how a convex function is represented and evaluated
-   and in how the per-step KKT system is solved. *)
-type 'f ops = {
-  k_value : 'f -> Vec.t -> float;
-  k_centering :
-    st:stats ->
-    barrier_t:float ->
-    objective:'f ->
-    ineqs:'f list ->
-    rows:(Vec.t * float) list ->
-    Vec.t ->
-    Vec.t;
-  k_linear : int -> Vec.t -> float -> 'f;
-  k_minus_slack : int -> 'f -> 'f;
-}
-
-(* G(y, s) = f(y) - s over n + 1 variables. *)
-let minus_slack n (f : Smooth.t) =
-  let base = Smooth.extend f 1 in
-  let value y = base.Smooth.value y -. y.(n) in
-  let eval y =
-    let v, g, h = base.Smooth.eval y in
-    g.(n) <- g.(n) -. 1.0;
-    (v -. y.(n), g, h)
-  in
-  { Smooth.dim = n + 1; eval; value }
-
-let list_ops ~initial_reg : Smooth.t ops =
-  {
-    k_value = (fun (f : Smooth.t) y -> f.Smooth.value y);
-    k_centering = centering_list ~initial_reg;
-    k_linear = Smooth.linear;
-    k_minus_slack = minus_slack;
-  }
-
-let compiled_ops ws_cache ~initial_reg : Compiled.t ops =
-  {
-    k_value = Compiled.value;
-    k_centering = centering_compiled ~ws_cache ~initial_reg;
-    k_linear =
-      (fun n a b ->
-        let entries = ref [] in
-        for i = Vec.dim a - 1 downto 0 do
-          if a.(i) <> 0.0 then entries := (i, a.(i)) :: !entries
+      let slope =
+        let acc = ref 0.0 in
+        for i = 0 to n - 1 do
+          acc := !acc +. (Array.unsafe_get grad i *. Array.unsafe_get dy i)
         done;
-        Compiled.affine n !entries b);
-    k_minus_slack = (fun n f -> Compiled.add_linear (Compiled.extend f 1) n (-1.0));
-  }
+        !acc
+      in
+      let lambda2 = -.slope in
+      if lambda2 /. 2.0 < 1e-10 then converged := true
+      else begin
+        (* Merit value at the current iterate, from the values the
+           assembly above just computed. *)
+        let phi0 =
+          let ok = ref true in
+          for j = 0 to nineq - 1 do
+            if vis.(j) >= 0.0 then ok := false
+          done;
+          if not !ok then
+            invalid_arg "Gp.Solver: centering started at an infeasible point"
+          else begin
+            let acc = ref (barrier_t *. v0) in
+            for j = 0 to nineq - 1 do
+              acc := !acc -. log (-.vis.(j))
+            done;
+            !acc
+          end
+        in
+        (* Backtracking line search with the strict-feasibility
+           invariant. *)
+        let cand = ws.w_cand in
+        let rec search alpha tries =
+          if tries <= 0 then false
+          else begin
+            for i = 0 to n - 1 do
+              Array.unsafe_set cand i
+                ((alpha *. Array.unsafe_get dy i) +. Array.unsafe_get y i)
+            done;
+            match phi_cand cand with
+            | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> true
+            | _ ->
+              st.backtracks <- st.backtracks + 1;
+              search (alpha /. 2.0) (tries - 1)
+          end
+        in
+        if search 1.0 60 then Array.blit cand 0 y 0 n
+        else converged := true (* cannot make progress; accept the point *)
+      end
+  done;
+  y
 
 (* ------------------------------------------------------------------ *)
 (* Barrier loop                                                       *)
@@ -540,9 +534,9 @@ let compiled_ops ws_cache ~initial_reg : Compiled.t ops =
    centering runs to completion — keeping the hot path untouched.
 
    The loop is written against an abstract [centering] closure (and the
-   inequality count [m]) so every kernel — list, compiled, batched —
-   runs through the identical control flow: same schedule, same stop
-   conditions, same stats ticks. *)
+   inequality count [m]) so both kernels run through the identical
+   control flow: same schedule, same stop conditions, same stats
+   ticks. *)
 let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
     ~centering y0 =
   let tick () =
@@ -583,34 +577,122 @@ let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
   end
 
 (* ------------------------------------------------------------------ *)
+(* Kernels                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A kernel supplies the inequality values [value i y] and the
+   centerings of both phases.  Phase I minimizes the slack s over the
+   n + 1 coordinates (y, s) subject to f_i(y) - s <= 0 and
+   -s - 20 <= 0 (keeping the phase-I problem bounded); its centering is
+   built by [phase1_centering ()] only when phase I actually runs. *)
+
+(* G(y, s) = f(y) - s over n + 1 variables. *)
+let minus_slack n (f : Smooth.t) =
+  let base = Smooth.extend f 1 in
+  let value y = base.Smooth.value y -. y.(n) in
+  let eval y =
+    let v, g, h = base.Smooth.eval y in
+    g.(n) <- g.(n) -. 1.0;
+    (v -. y.(n), g, h)
+  in
+  { Smooth.dim = n + 1; eval; value }
+
+(* The list kernel evaluates the compiled program's functions as dense
+   [Smooth] closures (same rows, same log coefficients). *)
+let list_kernel ~st ~initial_reg (c : Compiled.t) =
+  let n = c.Compiled.n in
+  let smooth (f : Compiled.fn) =
+    Smooth.log_sum_exp n
+      (List.init f.Compiled.f_nterms (fun k ->
+           let a = Vec.create n in
+           for q = f.Compiled.f_starts.(k) to f.Compiled.f_starts.(k + 1) - 1 do
+             a.(f.Compiled.f_idx.(q)) <- f.Compiled.f_coef.(q)
+           done;
+           (a, f.Compiled.f_b.(k))))
+  in
+  let objective = smooth c.Compiled.objective in
+  let ineqs = Array.map smooth c.Compiled.ineqs in
+  let phase1_centering () =
+    let n1 = n + 1 in
+    let s_dir = Vec.init n1 (fun i -> if i = n then 1.0 else 0.0) in
+    let objective = Smooth.linear n1 s_dir 0.0 in
+    let lower = Smooth.linear n1 (Vec.scale (-1.0) s_dir) (-20.0) in
+    let ineqs = lower :: Array.to_list (Array.map (minus_slack n) ineqs) in
+    let rows = Array.map (fun a -> Vec.concat a [| 0.0 |]) c.Compiled.rows in
+    fun ~barrier_t y -> centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs ~rows y
+  in
+  let ineq_list = Array.to_list ineqs in
+  ( (fun i y -> ineqs.(i).Smooth.value y),
+    phase1_centering,
+    fun ~barrier_t y ->
+      centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs:ineq_list
+        ~rows:c.Compiled.rows y )
+
+let compiled_kernel ~st ~initial_reg (c : Compiled.t) =
+  let n = c.Compiled.n in
+  let nineq = Array.length c.Compiled.ineqs in
+  let fset2 =
+    {
+      fs_n = n;
+      fs_obj = c.Compiled.objective;
+      fs_ineqs = c.Compiled.ineqs;
+      fs_zbasis = Mat.nullspace_basis n c.Compiled.rows;
+      fs_rows = c.Compiled.rows;
+    }
+  in
+  let ws2 =
+    make_ws ~n ~q:(Array.length fset2.fs_zbasis) ~max_terms:c.Compiled.max_terms
+      ~nineqs:nineq
+  in
+  let phase1_centering () =
+    let rows1 = Array.map (fun a -> Vec.concat a [| 0.0 |]) c.Compiled.rows in
+    let fset1 =
+      {
+        fs_n = n + 1;
+        fs_obj = Compiled.affine [ (n, 1.0) ] 0.0;
+        fs_ineqs =
+          Array.append
+            [| Compiled.affine [ (n, -1.0) ] (-20.0) |]
+            (Array.map (Compiled.minus_slack n) c.Compiled.ineqs);
+        fs_zbasis = Mat.nullspace_basis (n + 1) rows1;
+        fs_rows = rows1;
+      }
+    in
+    let ws1 =
+      make_ws ~n:(n + 1) ~q:(Array.length fset1.fs_zbasis)
+        ~max_terms:c.Compiled.max_terms ~nineqs:(1 + nineq)
+    in
+    fun ~barrier_t y -> centering ~ws:ws1 ~fset:fset1 ~initial_reg ~st ~barrier_t y
+  in
+  ( (fun i y -> Compiled.value c.Compiled.ineqs.(i) ~es:ws2.w_es y),
+    phase1_centering,
+    fun ~barrier_t y -> centering ~ws:ws2 ~fset:fset2 ~initial_reg ~st ~barrier_t y )
+
+(* ------------------------------------------------------------------ *)
 (* Phase I                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Find a point satisfying the equalities and strictly satisfying the
    inequalities, or decide that none exists. *)
-let phase1 ~check ~ops ~st ~tol ~max_outer n ineqs rows y0 =
-  let strictly_ok y = List.for_all (fun g -> ops.k_value g y < -1e-9) ineqs in
+let phase1 ~check ~st ~max_outer ~n ~nineq ~value ~phase1_centering y0 =
+  let strictly_ok y =
+    let rec go i = i >= nineq || (value i y < -1e-9 && go (i + 1)) in
+    go 0
+  in
   if strictly_ok y0 then Some y0
   else begin
-    let n1 = n + 1 in
-    let s_dir = Vec.init n1 (fun i -> if i = n then 1.0 else 0.0) in
-    let objective = ops.k_linear n1 s_dir 0.0 in
-    let g_ineqs = List.map (ops.k_minus_slack n) ineqs in
-    (* Keep s bounded below so the phase-I problem is bounded. *)
-    let lower = ops.k_linear n1 (Vec.scale (-1.0) s_dir) (-20.0) in
-    let rows1 = List.map (fun (a, d) -> (Vec.concat a [| 0.0 |], d)) rows in
     let s0 =
-      List.fold_left (fun acc g -> Float.max acc (ops.k_value g y0)) 0.0 ineqs +. 1.0
+      let acc = ref 0.0 in
+      for i = 0 to nineq - 1 do
+        acc := Float.max !acc (value i y0)
+      done;
+      !acc +. 1.0
     in
-    let start = Vec.concat y0 [| s0 |] in
-    let stop_early y = y.(n) < -0.5 in
-    let all_ineqs = lower :: g_ineqs in
     let y1, _ =
-      barrier ~stop_early ~check ~st ~phase:`One ~tol ~max_outer
-        ~m:(List.length all_ineqs)
-        ~centering:(fun ~barrier_t y ->
-          ops.k_centering ~st ~barrier_t ~objective ~ineqs:all_ineqs ~rows:rows1 y)
-        start
+      barrier
+        ~stop_early:(fun y -> y.(n) < -0.5)
+        ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~m:(1 + nineq)
+        ~centering:(phase1_centering ()) (Vec.concat y0 [| s0 |])
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
@@ -620,70 +702,59 @@ let phase1 ~check ~ops ~st ~tol ~max_outer n ineqs rows y0 =
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let least_norm_start n rows =
-  match rows with
-  | [] -> Vec.create n
-  | _ ->
-    (* y0 = A^T z with (A A^T + eps I) z = d: minimum-norm solution of the
-       (assumed full-rank) equality system, regularized for safety. *)
-    let p = List.length rows in
-    let arr = Array.of_list rows in
-    let gram =
-      Mat.init p p (fun i j ->
-          Vec.dot (fst arr.(i)) (fst arr.(j)) +. if i = j then 1e-12 else 0.0)
-    in
-    let d = Vec.init p (fun i -> snd arr.(i)) in
-    let z = Mat.lu_solve gram d in
-    let y = Vec.create n in
-    Array.iteri
-      (fun i (a, _) ->
-        for j = 0 to n - 1 do
-          y.(j) <- y.(j) +. (z.(i) *. a.(j))
-        done)
-      arr;
-    y
-
-(* Log-space start seeded from a prior solution of a structurally close
-   problem: overlay the warm values on the least-norm equality solution,
-   then project back onto the equality manifold ([y <- y + A^T z] with
-   [(A A^T + eps I) z = d - A y]), since the warm point satisfied a
-   {e different} problem's equalities. *)
-let warm_point n index vars rows warm =
-  let y = least_norm_start n rows in
-  List.iter
-    (fun x ->
-      match List.assoc_opt x warm with
-      | Some v when Float.is_finite v && v > 0.0 -> y.(Hashtbl.find index x) <- log v
-      | _ -> ())
-    vars;
-  match rows with
-  | [] -> y
-  | _ ->
-    (try
-       let p = List.length rows in
-       let arr = Array.of_list rows in
-       let gram =
-         Mat.init p p (fun i j ->
-             Vec.dot (fst arr.(i)) (fst arr.(j)) +. if i = j then 1e-12 else 0.0)
-       in
-       let d = Vec.init p (fun i -> snd arr.(i) -. Vec.dot (fst arr.(i)) y) in
-       let z = Mat.lu_solve gram d in
-       Array.iteri
-         (fun i (a, _) ->
-           for j = 0 to n - 1 do
-             y.(j) <- y.(j) +. (z.(i) *. a.(j))
-           done)
-         arr;
-       y
-     with Mat.Singular -> least_norm_start n rows)
+(* Log-space start: the least-norm solution of the equality system,
+   y = A^T z with (A A^T + eps I) z = d, regularized for safety.  A warm
+   start overlays a prior solution's values, then projects back onto the
+   equality manifold ([y <- y + A^T z] with (A A^T + eps I) z = d - A y),
+   since the warm point satisfied a {e different} problem's equalities.
+   The Gram matrix is factored once for both solves; a singular one
+   raises [Mat.Singular]. *)
+let start_point (c : Compiled.t) warm_start =
+  let n = c.Compiled.n in
+  let rows = c.Compiled.rows in
+  let p = Array.length rows in
+  let y = Vec.create n in
+  let gram =
+    if p = 0 then None
+    else
+      Some
+        (Mat.lu_factor
+           (Mat.init p p (fun i j ->
+                Vec.dot rows.(i) rows.(j) +. if i = j then 1e-12 else 0.0)))
+  in
+  let project d =
+    Option.iter
+      (fun lu ->
+        let z = Mat.lu_solve_factored lu d in
+        Array.iteri
+          (fun i a ->
+            for j = 0 to n - 1 do
+              y.(j) <- y.(j) +. (z.(i) *. a.(j))
+            done)
+          rows)
+      gram
+  in
+  project c.Compiled.rhs;
+  Option.iter
+    (fun warm ->
+      List.iter
+        (fun x ->
+          match List.assoc_opt x warm with
+          | Some v when Float.is_finite v && v > 0.0 ->
+            y.(Hashtbl.find c.Compiled.index x) <- log v
+          | _ -> ())
+        c.Compiled.vars;
+      project (Array.init p (fun i -> c.Compiled.rhs.(i) -. Vec.dot rows.(i) y)))
+    warm_start;
+  y
 
 (* Internal deadline signal; never escapes [solve]. *)
 exception Deadline
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let solve_scalar ~tol ~max_outer ?stats ?warm_start ~kernel ?deadline_ns ~initial_reg
-    problem =
+let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compiled)
+    ?deadline_ns ?(initial_reg = 1e-9) problem =
   let st = match stats with Some st -> st | None -> fresh_stats () in
   reset_stats st;
   (* Cooperative deadline: checked at outer-iteration boundaries (see
@@ -696,572 +767,44 @@ let solve_scalar ~tol ~max_outer ?stats ?warm_start ~kernel ?deadline_ns ~initia
       let start = now_ns () in
       fun () -> if now_ns () -. start >= budget_ns then raise Deadline
   in
-  let vars = Problem.variables problem in
-  let n = List.length vars in
-  let index = Hashtbl.create (2 * n) in
-  List.iteri (fun i x -> Hashtbl.replace index x i) vars;
-  let rows0 = equality_rows n index (Problem.eqs problem) in
-  (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
-  let inconsistent = ref false in
-  let rows =
-    List.filter
-      (fun (a, d) ->
-        if Vec.norm_inf a > 0.0 then true
-        else begin
-          if Float.abs d > 1e-9 then inconsistent := true;
-          false
-        end)
-      rows0
-  in
-  let extract status y =
-    let envt = Array.map exp y in
-    let values = List.mapi (fun i x -> (x, envt.(i))) vars in
-    let lookup_env x = envt.(Hashtbl.find index x) in
-    { status; values; objective = P.eval lookup_env (Problem.objective problem) }
-  in
-  if !inconsistent then { status = Infeasible; values = []; objective = nan }
-  else begin
-    (* Any residual numerical failure is reported as infeasibility of this
-       program rather than escaping to the caller: the driver treats such
-       choices as unusable and moves on. *)
-    match
-      let y0 =
-        match warm_start with
-        | None -> least_norm_start n rows
-        | Some warm -> warm_point n index vars rows warm
-      in
-      let run ops objective ineqs =
-        match phase1 ~check ~ops ~st ~tol:1e-6 ~max_outer n ineqs rows y0 with
-        | None ->
-          Log.debug (fun m -> m "phase I failed: problem infeasible");
-          { status = Infeasible; values = []; objective = nan }
-        | Some y_feas ->
-          let y_opt, clean =
-            barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:(List.length ineqs)
-              ~centering:(fun ~barrier_t y ->
-                ops.k_centering ~st ~barrier_t ~objective ~ineqs ~rows y)
-              y_feas
-          in
-          extract (if clean then Optimal else Iteration_limit) y_opt
-      in
-      match kernel with
-      | `List ->
-        run (list_ops ~initial_reg)
-          (compile_posynomial n index (Problem.objective problem))
-          (List.map (fun (_, p) -> compile_posynomial n index p) (Problem.ineqs problem))
-      | `Compiled ->
-        let ws_cache = Hashtbl.create 4 in
-        run (compiled_ops ws_cache ~initial_reg)
-          (Compiled.of_posynomial n index (Problem.objective problem))
-          (List.map
-             (fun (_, p) -> Compiled.of_posynomial n index p)
-             (Problem.ineqs problem))
-    with
-    | solution -> solution
-    | exception Mat.Singular ->
-      Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
-      { status = Infeasible; values = []; objective = nan }
-    | exception Deadline ->
-      st.deadline_hits <- st.deadline_hits + 1;
-      Log.debug (fun m -> m "solve deadline exceeded");
-      { status = Deadline_exceeded; values = []; objective = nan }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Batched kernel (DESIGN §15)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The batched kernel runs the exact algorithm of the compiled kernel —
-   same barrier schedule, same centerings, same KKT solves, same line
-   search — against a [Batch.plan] shared by every member of a
-   structure group.  What is amortized per structure: the lowering
-   itself, the nullspace bases (pure, see [Mat.nullspace_basis]) and the
-   least-norm Gram factorization ([Mat.lu_factor], bit-identical to the
-   per-solve [Mat.lu_solve]).  What is changed mechanically: all hot
-   buffers are flat unchecked float arrays, and three provably
-   unobservable evaluations are elided (the line-search merit value
-   short-circuits after the first infeasible inequality; the merit value
-   at the current iterate reuses the values the Newton assembly just
-   computed; all elided computations are pure).  Everything else is a
-   transcription, so results are bit-for-bit equal to
-   [solve ~kernel:`Compiled] — pinned by test/test_compiled.ml and the
-   determinism suite. *)
-
-(* A compiled structure function bound to one member's coefficients. *)
-type bfun = { bf_fn : Batch.fn; bf_b : float array; bf_off : int }
-
-(* The function set of one (phase, member) pair. *)
-type bset = {
-  bs_n : int;
-  bs_obj : bfun;
-  bs_ineqs : bfun array;
-  bs_zbasis : Vec.t array;
-  bs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
-}
-
-(* Per-solve workspace (never shared across concurrent solves). *)
-type bws = {
-  bw_y : float array;
-  bw_cand : float array;
-  bw_grad : float array;
-  bw_hess : float array;  (* n * n, stride n *)
-  bw_gi : float array;
-  bw_hi : float array;  (* n * n, stride n *)
-  bw_dy : float array;
-  bw_es : float array;
-  bw_vis : float array;  (* per-inequality values at the current iterate *)
-  bw_hz : Vec.t array;
-  bw_hr : Mat.t;
-  bw_hr0 : float array;  (* pristine reduced Hessian, lower triangle, stride q *)
-  bw_u : Vec.t;
-  bw_u0 : float array;  (* pristine reduced RHS *)
-}
-
-let make_bws ~n ~q ~max_terms ~nineqs =
-  {
-    bw_y = Array.make n 0.0;
-    bw_cand = Array.make n 0.0;
-    bw_grad = Array.make n 0.0;
-    bw_hess = Array.make (n * n) 0.0;
-    bw_gi = Array.make n 0.0;
-    bw_hi = Array.make (n * n) 0.0;
-    bw_dy = Array.make n 0.0;
-    bw_es = Array.make (max 1 max_terms) 0.0;
-    bw_vis = Array.make (max 1 nineqs) 0.0;
-    bw_hz = Array.init q (fun _ -> Vec.create n);
-    bw_hr = Mat.create q q;
-    bw_hr0 = Array.make (max 1 (q * q)) 0.0;
-    bw_u = Vec.create q;
-    bw_u0 = Array.make (max 1 q) 0.0;
-  }
-
-(* Mirror of [centering_compiled] over flat buffers; see the bit-identity
-   note above. *)
-let centering_batched ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
-  let n = fset.bs_n in
-  let nineq = Array.length fset.bs_ineqs in
-  let zbasis = fset.bs_zbasis in
-  let q = Array.length zbasis in
-  let grad = ws.bw_grad in
-  let hess = ws.bw_hess in
-  let gi = ws.bw_gi in
-  let hi = ws.bw_hi in
-  let es = ws.bw_es in
-  let vis = ws.bw_vis in
-  let y = ws.bw_y in
-  if y != y0 then Array.blit y0 0 y 0 n;
-  (* Line-search merit value at a candidate.  The compiled path
-     evaluates every inequality and discards the accumulator when any
-     value is >= 0; stopping at the first such value skips only pure
-     computations, so the accepted candidate and every accept/reject
-     decision are unchanged.  A NaN value never triggers the exit
-     ([v >= 0.0] is false for NaN), matching the compiled path's
-     accept test, which a NaN also fails. *)
-  let phi_cand cand =
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < nineq do
-      let f = Array.unsafe_get fset.bs_ineqs !i in
-      let v = Batch.value f.bf_fn ~b:f.bf_b ~boff:f.bf_off ~es cand in
-      if v >= 0.0 then ok := false
-      else begin
-        Array.unsafe_set vis !i v;
-        incr i
-      end
-    done;
-    if not !ok then None
+  let infeasible = { status = Infeasible; values = []; objective = nan } in
+  (* Any residual numerical failure is reported as infeasibility of this
+     program rather than escaping to the caller: the driver treats such
+     choices as unusable and moves on. *)
+  match
+    let c = Compiled.compile problem in
+    if not c.Compiled.consistent then infeasible
     else begin
-      let o = fset.bs_obj in
-      let acc =
-        ref (barrier_t *. Batch.value o.bf_fn ~b:o.bf_b ~boff:o.bf_off ~es cand)
+      let y0 = start_point c warm_start in
+      let value, phase1_centering, phase2_centering =
+        match kernel with
+        | `List -> list_kernel ~st ~initial_reg c
+        | `Compiled -> compiled_kernel ~st ~initial_reg c
       in
-      for j = 0 to nineq - 1 do
-        acc := !acc -. log (-.Array.unsafe_get vis j)
-      done;
-      Some !acc
-    end
-  in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !iter < 80 do
-    incr iter;
-    st.newton_iters <- st.newton_iters + 1;
-    Array.fill grad 0 n 0.0;
-    Array.fill hess 0 (n * n) 0.0;
-    let o = fset.bs_obj in
-    let v0 = Batch.eval_into o.bf_fn ~b:o.bf_b ~boff:o.bf_off ~es ~grad:gi ~hess:hi ~hn:n y in
-    let sup0 = o.bf_fn.Batch.f_support in
-    let ns0 = Array.length sup0 in
-    for a = 0 to ns0 - 1 do
-      let i = Array.unsafe_get sup0 a in
-      Array.unsafe_set grad i (barrier_t *. Array.unsafe_get gi i);
-      let base = i * n in
-      for b = 0 to ns0 - 1 do
-        let j = Array.unsafe_get sup0 b in
-        Array.unsafe_set hess (base + j) (barrier_t *. Array.unsafe_get hi (base + j))
-      done
-    done;
-    for gidx = 0 to nineq - 1 do
-      let g = Array.unsafe_get fset.bs_ineqs gidx in
-      let vi =
-        Batch.eval_into g.bf_fn ~b:g.bf_b ~boff:g.bf_off ~es ~grad:gi ~hess:hi ~hn:n y
-      in
-      Array.unsafe_set vis gidx vi;
-      (* vi < 0 by the line-search invariant *)
-      let inv = -1.0 /. vi in
-      let sup = g.bf_fn.Batch.f_support in
-      let ns = Array.length sup in
-      for a = 0 to ns - 1 do
-        let i = Array.unsafe_get sup a in
-        Array.unsafe_set grad i (Array.unsafe_get grad i +. (inv *. Array.unsafe_get gi i))
-      done;
-      for a = 0 to ns - 1 do
-        let i = Array.unsafe_get sup a in
-        let gi_i = Array.unsafe_get gi i in
-        let base = i * n in
-        for b = 0 to ns - 1 do
-          let j = Array.unsafe_get sup b in
-          let o = base + j in
-          Array.unsafe_set hess o
-            (Array.unsafe_get hess o
-            +. ((inv *. Array.unsafe_get hi o) +. (inv *. inv *. gi_i *. Array.unsafe_get gi j))
-            )
-        done
-      done
-    done;
-    (* Structured KKT solve in the shared nullspace basis. *)
-    for j = 0 to q - 1 do
-      let zj = zbasis.(j) in
-      let hzj = ws.bw_hz.(j) in
-      for i = 0 to n - 1 do
-        let base = i * n in
-        let acc = ref 0.0 in
-        for k = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get hess (base + k) *. Array.unsafe_get zj k)
-        done;
-        Array.unsafe_set hzj i !acc
-      done
-    done;
-    (* The reduced Hessian entries [z_j . (H z_l)] and the reduced RHS
-       [-z_j . grad] are pure per-iteration values: compute them once
-       and replay them on regularization retries (the compiled path
-       recomputes the same dots; same accumulation order, same bits). *)
-    let hr0 = ws.bw_hr0 and u0 = ws.bw_u0 in
-    for j = 0 to q - 1 do
-      let zj = zbasis.(j) in
-      for l = 0 to j do
-        let hzl = ws.bw_hz.(l) in
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get zj i *. Array.unsafe_get hzl i)
-        done;
-        Array.unsafe_set hr0 ((j * q) + l) !acc
-      done;
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc := !acc +. (Array.unsafe_get zj i *. Array.unsafe_get grad i)
-      done;
-      Array.unsafe_set u0 j (-. !acc)
-    done;
-    let solve_structured reg =
-      let hr = ws.bw_hr in
-      let u = ws.bw_u in
-      for j = 0 to q - 1 do
-        for l = 0 to j do
-          Mat.set hr j l (Array.unsafe_get hr0 ((j * q) + l))
-        done;
-        Mat.add_to hr j j reg
-      done;
-      Mat.cholesky_in_place hr;
-      Array.blit u0 0 u 0 q;
-      Mat.cholesky_solve_in_place hr u;
-      let dy = ws.bw_dy in
-      Array.fill dy 0 n 0.0;
-      for j = 0 to q - 1 do
-        let uj = u.(j) in
-        if uj <> 0.0 then begin
-          let zj = zbasis.(j) in
-          for i = 0 to n - 1 do
-            Array.unsafe_set dy i (Array.unsafe_get dy i +. (uj *. Array.unsafe_get zj i))
-          done
-        end
-      done;
-      dy
-    in
-    let dy =
-      let rec attempt reg tries =
-        match solve_structured reg with
-        | dy -> Some dy
-        | exception Mat.Singular ->
-          if tries <= 0 then None
-          else begin
-            st.kkt_regularizations <- st.kkt_regularizations + 1;
-            attempt (reg *. 100.0) (tries - 1)
-          end
-      in
-      match attempt initial_reg 6 with
-      | Some dy -> Some dy
-      | None ->
-        st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
-        let p = Array.length fset.bs_rows in
-        let hess_m = Mat.init n n (fun i j -> hess.((i * n) + j)) in
-        let rows = Array.to_list (Array.map (fun a -> (a, 0.0)) fset.bs_rows) in
-        attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows n p
-    in
-    match dy with
-    | None -> converged := true
-    | Some dy ->
-      let slope =
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get grad i *. Array.unsafe_get dy i)
-        done;
-        !acc
-      in
-      let lambda2 = -.slope in
-      if lambda2 /. 2.0 < 1e-10 then converged := true
-      else begin
-        (* Merit value at the current iterate, from the values the
-           assembly above just computed — the compiled path recomputes
-           them; the evaluations are pure, so the bits agree. *)
-        let phi0 =
-          let ok = ref true in
-          for j = 0 to nineq - 1 do
-            if vis.(j) >= 0.0 then ok := false
-          done;
-          if not !ok then
-            invalid_arg "Gp.Solver: centering started at an infeasible point"
-          else begin
-            let acc = ref (barrier_t *. v0) in
-            for j = 0 to nineq - 1 do
-              acc := !acc -. log (-.vis.(j))
-            done;
-            !acc
-          end
-        in
-        let cand = ws.bw_cand in
-        let rec search alpha tries =
-          if tries <= 0 then false
-          else begin
-            for i = 0 to n - 1 do
-              Array.unsafe_set cand i
-                ((alpha *. Array.unsafe_get dy i) +. Array.unsafe_get y i)
-            done;
-            match phi_cand cand with
-            | Some v when v <= phi0 +. (0.25 *. alpha *. slope) -> true
-            | _ ->
-              st.backtracks <- st.backtracks + 1;
-              search (alpha /. 2.0) (tries - 1)
-          end
-        in
-        if search 1.0 60 then Array.blit cand 0 y 0 n
-        else converged := true (* cannot make progress; accept the point *)
-      end
-  done;
-  y
-
-(* Member function sets: phase II over n variables, phase I over n+1
-   with the slack.  The phase-I inequalities read the same coefficient
-   slots as their phase-II counterparts. *)
-let bset_phase2 (plan : Batch.plan) (block : Batch.block) mem =
-  let bind (f : Batch.fn) =
-    { bf_fn = f; bf_b = block.Batch.bk_b.(f.Batch.f_slot);
-      bf_off = mem * plan.Batch.pl_nterms.(f.Batch.f_slot) }
-  in
-  {
-    bs_n = plan.Batch.pl_n;
-    bs_obj = bind plan.Batch.pl_objective;
-    bs_ineqs = Array.map bind plan.Batch.pl_ineqs;
-    bs_zbasis = plan.Batch.pl_zbasis;
-    bs_rows = plan.Batch.pl_rows;
-  }
-
-let bset_phase1 (plan : Batch.plan) (block : Batch.block) mem =
-  let bind_slack (f : Batch.fn) =
-    { bf_fn = f; bf_b = block.Batch.bk_b.(f.Batch.f_slot);
-      bf_off = mem * plan.Batch.pl_nterms.(f.Batch.f_slot) }
-  in
-  let affine f = { bf_fn = f; bf_b = [||]; bf_off = 0 } in
-  {
-    bs_n = plan.Batch.pl_n + 1;
-    bs_obj = affine plan.Batch.pl_objective1;
-    bs_ineqs =
-      Array.append
-        [| affine plan.Batch.pl_lower1 |]
-        (Array.map bind_slack plan.Batch.pl_ineqs1);
-    bs_zbasis = plan.Batch.pl_zbasis1;
-    bs_rows = plan.Batch.pl_rows1;
-  }
-
-(* Mirror of the generic [phase1] over a member's function sets. *)
-let phase1_batched ~check ~st ~max_outer ~initial_reg ~(plan : Batch.plan) ~block ~mem
-    ~fset2 ~(ws2 : bws) y0 =
-  let n = plan.Batch.pl_n in
-  let nineq = Array.length fset2.bs_ineqs in
-  (* [List.for_all] in the generic path stops at the first failure; the
-     evaluations are pure, so the early exit is unobservable. *)
-  let strictly_ok y =
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < nineq do
-      let f = fset2.bs_ineqs.(!i) in
-      if Batch.value f.bf_fn ~b:f.bf_b ~boff:f.bf_off ~es:ws2.bw_es y < -1e-9 then incr i
-      else ok := false
-    done;
-    !ok
-  in
-  if strictly_ok y0 then Some y0
-  else begin
-    let fset1 = bset_phase1 plan block mem in
-    let ws1 =
-      make_bws ~n:(n + 1)
-        ~q:(Array.length plan.Batch.pl_zbasis1)
-        ~max_terms:plan.Batch.pl_max_terms
-        ~nineqs:(1 + nineq)
-    in
-    let s0 =
-      let acc = ref 0.0 in
-      for i = 0 to nineq - 1 do
-        let f = fset2.bs_ineqs.(i) in
-        acc := Float.max !acc (Batch.value f.bf_fn ~b:f.bf_b ~boff:f.bf_off ~es:ws2.bw_es y0)
-      done;
-      !acc +. 1.0
-    in
-    let start = Vec.concat y0 [| s0 |] in
-    let stop_early y = y.(n) < -0.5 in
-    let y1, _ =
-      barrier ~stop_early ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~m:(1 + nineq)
-        ~centering:(fun ~barrier_t y ->
-          centering_batched ~ws:ws1 ~fset:fset1 ~initial_reg ~st ~barrier_t y)
-        start
-    in
-    let y = Vec.slice y1 0 n in
-    if strictly_ok y then Some y else None
-  end
-
-let solve_batched ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?deadline_ns
-    ?(initial_reg = 1e-9) (block : Batch.block) mem =
-  if mem < 0 || mem >= block.Batch.bk_nmembers then
-    invalid_arg "Gp.Solver.solve_batched: member index out of range";
-  let st = match stats with Some st -> st | None -> fresh_stats () in
-  reset_stats st;
-  let check =
-    match deadline_ns with
-    | None -> fun () -> ()
-    | Some budget_ns ->
-      let start = now_ns () in
-      fun () -> if now_ns () -. start >= budget_ns then raise Deadline
-  in
-  let plan = block.Batch.bk_plan in
-  let problem = block.Batch.bk_members.(mem) in
-  let n = plan.Batch.pl_n in
-  let p = Array.length plan.Batch.pl_rows in
-  let nz = block.Batch.bk_nz in
-  (* Constant equalities reduce to 0 = d: inconsistent unless d ~ 0. *)
-  let inconsistent = ref false in
-  for r = 0 to nz - 1 do
-    if Float.abs block.Batch.bk_dz.((mem * nz) + r) > 1e-9 then inconsistent := true
-  done;
-  let extract status y =
-    let envt = Array.map exp y in
-    let values = List.mapi (fun i x -> (x, envt.(i))) plan.Batch.pl_vars in
-    let lookup_env x = envt.(Hashtbl.find plan.Batch.pl_index x) in
-    { status; values; objective = P.eval lookup_env (Problem.objective problem) }
-  in
-  if !inconsistent then { status = Infeasible; values = []; objective = nan }
-  else begin
-    match
-      let d_of i = block.Batch.bk_d.((mem * p) + i) in
-      let overlay_rows y z =
-        Array.iteri
-          (fun i a ->
-            for j = 0 to n - 1 do
-              y.(j) <- y.(j) +. (z.(i) *. a.(j))
-            done)
-          plan.Batch.pl_rows
-      in
-      (* [least_norm_start] / [warm_point] with the Gram factorization
-         reused from the plan: [lu_solve_factored] is bit-identical to
-         the per-solve [lu_solve], and a singular Gram raises exactly
-         where the scalar path's factorization would. *)
-      let least_norm () =
-        match plan.Batch.pl_gram with
-        | Batch.No_rows -> Vec.create n
-        | Batch.Gram_singular -> raise Mat.Singular
-        | Batch.Factored lu ->
-          let d = Vec.init p d_of in
-          let z = Mat.lu_solve_factored lu d in
-          let y = Vec.create n in
-          overlay_rows y z;
-          y
-      in
-      let y0 =
-        match warm_start with
-        | None -> least_norm ()
-        | Some warm ->
-          let y = least_norm () in
-          List.iter
-            (fun x ->
-              match List.assoc_opt x warm with
-              | Some v when Float.is_finite v && v > 0.0 ->
-                y.(Hashtbl.find plan.Batch.pl_index x) <- log v
-              | _ -> ())
-            plan.Batch.pl_vars;
-          (match plan.Batch.pl_gram with
-          | Batch.No_rows | Batch.Gram_singular -> y
-          | Batch.Factored lu ->
-            let d = Vec.init p (fun i -> d_of i -. Vec.dot plan.Batch.pl_rows.(i) y) in
-            let z = Mat.lu_solve_factored lu d in
-            overlay_rows y z;
-            y)
-      in
-      let fset2 = bset_phase2 plan block mem in
-      let ws2 =
-        make_bws ~n
-          ~q:(Array.length plan.Batch.pl_zbasis)
-          ~max_terms:plan.Batch.pl_max_terms
-          ~nineqs:(Array.length fset2.bs_ineqs)
-      in
-      match
-        phase1_batched ~check ~st ~max_outer ~initial_reg ~plan ~block ~mem ~fset2 ~ws2
-          y0
-      with
+      let nineq = Array.length c.Compiled.ineqs in
+      match phase1 ~check ~st ~max_outer ~n:c.Compiled.n ~nineq ~value ~phase1_centering y0 with
       | None ->
         Log.debug (fun m -> m "phase I failed: problem infeasible");
-        { status = Infeasible; values = []; objective = nan }
+        infeasible
       | Some y_feas ->
         let y_opt, clean =
-          barrier ~check ~st ~phase:`Two ~tol ~max_outer
-            ~m:(Array.length fset2.bs_ineqs)
-            ~centering:(fun ~barrier_t y ->
-              centering_batched ~ws:ws2 ~fset:fset2 ~initial_reg ~st ~barrier_t y)
-            y_feas
+          barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:nineq
+            ~centering:phase2_centering y_feas
         in
-        extract (if clean then Optimal else Iteration_limit) y_opt
-    with
-    | solution -> solution
-    | exception Mat.Singular ->
-      Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
-      { status = Infeasible; values = []; objective = nan }
-    | exception Deadline ->
-      st.deadline_hits <- st.deadline_hits + 1;
-      Log.debug (fun m -> m "solve deadline exceeded");
-      { status = Deadline_exceeded; values = []; objective = nan }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Public entry point                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compiled)
-    ?deadline_ns ?(initial_reg = 1e-9) problem =
-  match kernel with
-  | `Batched ->
-    (* A standalone batched solve is a batch of one: compile the
-       structure, pack the single member, run the batched driver. *)
-    let plan = Batch.compile problem in
-    let block = Batch.pack plan [| problem |] in
-    solve_batched ~tol ~max_outer ?stats ?warm_start ?deadline_ns ~initial_reg block 0
-  | (`Compiled | `List) as kernel ->
-    solve_scalar ~tol ~max_outer ?stats ?warm_start ~kernel ?deadline_ns ~initial_reg
-      problem
+        let envt = Array.map exp y_opt in
+        {
+          status = (if clean then Optimal else Iteration_limit);
+          values = List.mapi (fun i x -> (x, envt.(i))) c.Compiled.vars;
+          objective =
+            P.eval (fun x -> envt.(Hashtbl.find c.Compiled.index x)) (Problem.objective problem);
+        }
+    end
+  with
+  | solution -> solution
+  | exception Mat.Singular ->
+    Log.debug (fun m -> m "numerical failure: treating the program as infeasible");
+    infeasible
+  | exception Deadline ->
+    st.deadline_hits <- st.deadline_hits + 1;
+    Log.debug (fun m -> m "solve deadline exceeded");
+    { status = Deadline_exceeded; values = []; objective = nan }

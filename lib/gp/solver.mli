@@ -7,31 +7,25 @@
     strictly feasible point (or a certificate of infeasibility), phase II
     traces the central path with equality-constrained Newton steps.
 
-    Three evaluation kernels back the same barrier driver:
-    - [`Compiled] (the default): functions are compiled once into
-      contiguous sparse exponent rows ({!Compiled}), evaluated into
-      per-solve workspace buffers, and each Newton step solves the KKT
-      system in an orthonormal nullspace basis of the equality rows —
-      one in-place Cholesky factorization of the reduced Hessian
-      instead of a dense [(n+p)^2] LU factorization, with the equality
-      residual [A dy = 0] exact by construction.
-    - [`List]: the original closure-per-function path with a dense
-      [(n+p)^2] LU factorization per Newton step, kept as the reference
-      and benchmark baseline.
-    - [`Batched]: the compiled algorithm over a structure shared by a
-      whole batch of coefficient-varying problems ({!Batch}, DESIGN
-      §15): the lowering, the nullspace bases and the least-norm Gram
-      factorization are computed once per {e structure} and reused by
-      every batch member (and every warm-started retry), and the hot
-      loops run over flat unchecked buffers.  Results are bit-for-bit
-      equal to [`Compiled] — the amortized computations are pure and the
-      per-step float operations are transcribed exactly.
+    Two evaluation kernels back the same barrier driver, both over the
+    program as {!Compiled.compile} lowers it once per solve:
+    - [`Compiled] (the default and the production path): sparse
+      exponent rows evaluated into flat, reused per-solve buffers
+      ({!Compiled.value} / {!Compiled.eval_into}).  Each Newton step
+      solves the KKT system in an orthonormal nullspace basis of the
+      equality rows, computed once per solve and phase: one in-place
+      Cholesky factorization of the reduced Hessian instead of a dense
+      [(n+p)^2] LU factorization, with the equality residual [A dy = 0]
+      exact by construction.
+    - [`List]: the same functions as dense closure-per-function
+      {!Smooth} values with a dense [(n+p)^2] LU factorization per
+      Newton step, kept as the reference that tests and benchmarks
+      compare against.
 
-    All kernels run the identical iteration schedule; the compiled
-    kernel's function evaluations are bit-for-bit equal to the list
-    kernel's (see {!Compiled}), while Newton directions may differ in
-    low-order bits because the factorization differs.  [`Batched] and
-    [`Compiled] agree bit-for-bit in full. *)
+    Both kernels run the identical iteration schedule, and their
+    function evaluations are bit-for-bit equal (see {!Compiled}); Newton
+    directions may differ in low-order bits because the factorization
+    differs. *)
 
 type status =
   | Optimal  (** converged to the requested duality-gap tolerance *)
@@ -51,7 +45,7 @@ type solution = {
   objective : float;  (** objective posynomial value at [values] *)
 }
 
-type kernel = [ `Compiled | `List | `Batched ]
+type kernel = [ `Compiled | `List ]
 
 val lookup : solution -> string -> float
 (** Value of a variable in the solution.  Raises [Invalid_argument] with
@@ -159,27 +153,4 @@ val solve :
     the optimum the solver converges to.
 
     [kernel] selects the evaluation/KKT strategy (default [`Compiled]);
-    see the module preamble.  [`Batched] here solves a batch of one —
-    callers holding a whole structure group use {!solve_batched} to
-    amortize the per-structure work across members. *)
-
-val solve_batched :
-  ?tol:float ->
-  ?max_outer:int ->
-  ?stats:stats ->
-  ?warm_start:(string * float) list ->
-  ?deadline_ns:float ->
-  ?initial_reg:float ->
-  Batch.block ->
-  int ->
-  solution
-(** [solve_batched block mem] solves member [mem] of a packed batch
-    (see {!Batch.pack}) with the batched kernel.  All options behave as
-    in {!solve}.  The returned solution, and the [stats] fields, are
-    bit-for-bit identical to
-    [solve ~kernel:`Compiled block.bk_members.(mem)] — batching changes
-    where the structure work happens, never what is computed.  Each call
-    owns its iteration workspace, so members of one block may be solved
-    concurrently; a deadline or crash during one member's solve affects
-    that member only.  Raises [Invalid_argument] if [mem] is out of
-    range. *)
+    see the module preamble. *)

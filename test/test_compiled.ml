@@ -1,12 +1,15 @@
-(* Bit-for-bit equivalence of the compiled evaluation kernels
-   (Gp.Compiled) against the reference list path (Gp.Smooth).  The
-   compiled kernel's contract is exact: same values, gradients and
-   Hessians down to the last bit, for any finite inputs — this is what
-   lets the solver switch kernels without perturbing results beyond the
-   KKT factorization itself. *)
+(* Bit-for-bit equivalence of the compiled evaluation kernel
+   (Gp.Compiled) against the reference list path (Gp.Smooth), and golden
+   pins of the solver's arithmetic on the paper's flows.  The compiled
+   kernel's contract is exact: same values, gradients and Hessians down
+   to the last bit, for any finite inputs — this is what lets the solver
+   switch kernels without perturbing results beyond the KKT
+   factorization itself. *)
 
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
+module M = Symexpr.Monomial
+module P = Symexpr.Posynomial
 
 let bits = Int64.bits_of_float
 
@@ -18,35 +21,65 @@ let check_bits name expected actual =
        actual (bits actual))
     true (same_float expected actual)
 
-(* Evaluate both paths and compare value / full gradient / full Hessian
-   bitwise.  The compiled kernel only writes support entries, so the
-   buffers start zeroed — off-support entries of the dense path are
-   always [+0.0] (sums from a [+0.0] start can never produce [-0.0]). *)
-let agree_on name (smooth : Gp.Smooth.t) compiled y =
-  let n = smooth.Gp.Smooth.dim in
-  check_bits (name ^ " value") (smooth.Gp.Smooth.value y) (Gp.Compiled.value compiled y);
-  let v_ref, g_ref, h_ref = smooth.Gp.Smooth.eval y in
+(* [Smooth.log_sum_exp n terms] as a compiled function: the dense rows'
+   nonzero entries, ascending. *)
+let of_terms terms =
+  Gp.Compiled.of_sparse_terms
+    (List.map
+       (fun (a, b) ->
+         (List.filter (fun (_, c) -> c <> 0.0) (List.mapi (fun i c -> (i, c)) (Array.to_list a)), b))
+       terms)
+
+(* Value, gradient and Hessian of a compiled function at [y] into fresh
+   zeroed buffers (the Hessian unpacked from its flat row-major form). *)
+let eval_fresh n f y =
+  let es = Array.make (max 1 f.Gp.Compiled.f_nterms) 0.0 in
   let grad = Vec.create n in
-  let hess = Mat.create n n in
-  let v = Gp.Compiled.eval_into compiled y ~grad ~hess in
-  check_bits (name ^ " eval value") v_ref v;
+  let flat = Array.make (n * n) 0.0 in
+  let v = Gp.Compiled.eval_into f ~es ~grad ~hess:flat ~hn:n y in
+  (Gp.Compiled.value f ~es y, v, grad, Mat.init n n (fun i j -> flat.((i * n) + j)))
+
+(* Every bit of value / full gradient / full Hessian agrees.  The
+   compiled kernel only writes support entries, so the buffers start
+   zeroed — off-support entries of the dense path are always [+0.0]
+   (sums from a [+0.0] start can never produce [-0.0]). *)
+let agrees (smooth : Gp.Smooth.t) f y =
+  let n = smooth.Gp.Smooth.dim in
+  let value, v, grad, hess = eval_fresh n f y in
+  let v_ref, g_ref, h_ref = smooth.Gp.Smooth.eval y in
+  let ok = ref (same_float (smooth.Gp.Smooth.value y) value && same_float v_ref v) in
   for i = 0 to n - 1 do
-    check_bits (Printf.sprintf "%s grad.(%d)" name i) g_ref.(i) grad.(i)
-  done;
-  for i = 0 to n - 1 do
+    if not (same_float g_ref.(i) grad.(i)) then ok := false;
     for j = 0 to n - 1 do
-      check_bits
-        (Printf.sprintf "%s hess.(%d,%d)" name i j)
-        (Mat.get h_ref i j) (Mat.get hess i j)
+      if not (same_float (Mat.get h_ref i j) (Mat.get hess i j)) then ok := false
     done
-  done
+  done;
+  !ok
+
+let agree_on name smooth f y =
+  Alcotest.(check bool) (name ^ ": bit-identical value, gradient, Hessian") true
+    (agrees smooth f y)
+
+(* G(y, s) = f(y) - s over n + 1 variables, the list path's phase-I
+   image. *)
+let smooth_minus_slack n base =
+  let ext = Gp.Smooth.extend base 1 in
+  {
+    Gp.Smooth.dim = n + 1;
+    value = (fun y -> ext.Gp.Smooth.value y -. y.(n));
+    eval =
+      (fun y ->
+        let v, g, h = ext.Gp.Smooth.eval y in
+        g.(n) <- g.(n) -. 1.0;
+        (v -. y.(n), g, h));
+  }
 
 (* --- unit cases --- *)
 
 let test_single_term () =
   let n = 3 in
   let terms = [ (Vec.of_list [ 1.0; -2.0; 0.0 ], log 3.0) ] in
-  agree_on "single" (Gp.Smooth.log_sum_exp n terms) (Gp.Compiled.of_terms n terms)
+  agree_on "single" (Gp.Smooth.log_sum_exp n terms) (of_terms terms)
     (Vec.of_list [ 0.3; -1.2; 7.0 ])
 
 let test_constant_term () =
@@ -55,14 +88,14 @@ let test_constant_term () =
   let terms =
     [ (Vec.of_list [ 0.0; 0.0 ], log 2.0); (Vec.of_list [ 1.0; 1.0 ], 0.0) ]
   in
-  agree_on "const-term" (Gp.Smooth.log_sum_exp n terms) (Gp.Compiled.of_terms n terms)
+  agree_on "const-term" (Gp.Smooth.log_sum_exp n terms) (of_terms terms)
     (Vec.of_list [ -0.4; 0.9 ])
 
 let test_affine_matches_linear () =
   let n = 4 in
   let a = Vec.of_list [ 0.5; 0.0; -1.25; 0.0 ] in
   let smooth = Gp.Smooth.linear n a 0.75 in
-  let compiled = Gp.Compiled.affine n [ (0, 0.5); (2, -1.25) ] 0.75 in
+  let compiled = Gp.Compiled.affine [ (0, 0.5); (2, -1.25) ] 0.75 in
   agree_on "affine" smooth compiled (Vec.of_list [ 1.0; 2.0; 3.0; 4.0 ])
 
 let test_stale_buffers () =
@@ -71,55 +104,42 @@ let test_stale_buffers () =
   let n = 3 in
   let terms = [ (Vec.of_list [ 2.0; 0.0; 1.0 ], 0.1) ] in
   let smooth = Gp.Smooth.log_sum_exp n terms in
-  let compiled = Gp.Compiled.of_terms n terms in
+  let compiled = of_terms terms in
   let y = Vec.of_list [ 0.2; 0.4; -0.6 ] in
   let _, g_ref, h_ref = smooth.Gp.Smooth.eval y in
   let grad = Vec.of_list [ 5.0; 5.0; 5.0 ] in
-  let hess = Mat.init n n (fun _ _ -> 7.0) in
-  ignore (Gp.Compiled.eval_into compiled y ~grad ~hess);
+  let hess = Array.make (n * n) 7.0 in
+  let es = Array.make 1 0.0 in
+  ignore (Gp.Compiled.eval_into compiled ~es ~grad ~hess ~hn:n y);
   check_bits "g0" g_ref.(0) grad.(0);
   check_bits "g2" g_ref.(2) grad.(2);
   check_bits "g1 untouched" 5.0 grad.(1);
-  check_bits "h00" (Mat.get h_ref 0 0) (Mat.get hess 0 0);
-  check_bits "h02" (Mat.get h_ref 0 2) (Mat.get hess 0 2);
-  check_bits "h11 untouched" 7.0 (Mat.get hess 1 1);
-  check_bits "h01 untouched" 7.0 (Mat.get hess 0 1)
+  check_bits "h00" (Mat.get h_ref 0 0) hess.(0);
+  check_bits "h02" (Mat.get h_ref 0 2) hess.(2);
+  check_bits "h11 untouched" 7.0 hess.(4);
+  check_bits "h01 untouched" 7.0 hess.(1)
 
-let test_add_linear_slack () =
-  (* The phase-I construction G(y, s) = f(y) - s: extend by one
-     coordinate, then attach a -1 linear term to it. *)
+let test_minus_slack () =
+  (* The phase-I construction G(y, s) = f(y) - s over one extra
+     coordinate. *)
   let n = 2 in
   let terms =
     [ (Vec.of_list [ 1.0; 0.5 ], 0.2); (Vec.of_list [ -1.0; 2.0 ], -0.3) ]
   in
-  let base = Gp.Smooth.log_sum_exp n terms in
-  let ext = Gp.Smooth.extend base 1 in
-  let smooth =
-    {
-      Gp.Smooth.dim = n + 1;
-      value = (fun y -> ext.Gp.Smooth.value y -. y.(n));
-      eval =
-        (fun y ->
-          let v, g, h = ext.Gp.Smooth.eval y in
-          g.(n) <- g.(n) -. 1.0;
-          (v -. y.(n), g, h));
-    }
-  in
-  let compiled =
-    Gp.Compiled.add_linear (Gp.Compiled.extend (Gp.Compiled.of_terms n terms) 1) n (-1.0)
-  in
+  let smooth = smooth_minus_slack n (Gp.Smooth.log_sum_exp n terms) in
+  let compiled = Gp.Compiled.minus_slack n (of_terms terms) in
   agree_on "slack" smooth compiled (Vec.of_list [ 0.7; -0.1; 1.3 ]);
   agree_on "slack at s=0" smooth compiled (Vec.of_list [ 0.7; -0.1; 0.0 ])
 
 let test_rejects_bad_input () =
   Alcotest.check_raises "empty"
-    (Invalid_argument "Gp.Compiled.of_terms: empty term list") (fun () ->
-      ignore (Gp.Compiled.of_terms 2 []));
+    (Invalid_argument "Gp.Compiled.of_sparse_terms: empty term list") (fun () ->
+      ignore (Gp.Compiled.of_sparse_terms []));
   Alcotest.check_raises "descending"
     (Invalid_argument "Gp.Compiled.of_sparse_terms: indices not strictly ascending")
-    (fun () -> ignore (Gp.Compiled.of_sparse_terms 3 [ ([ (1, 1.0); (0, 2.0) ], 0.0) ]))
+    (fun () -> ignore (Gp.Compiled.of_sparse_terms [ ([ (1, 1.0); (0, 2.0) ], 0.0) ]))
 
-(* --- the property --- *)
+(* --- properties --- *)
 
 let gen_posynomial =
   let open QCheck2.Gen in
@@ -139,107 +159,40 @@ let gen_posynomial =
 let prop_bit_identical =
   QCheck2.Test.make ~name:"compiled kernel is bit-identical to Smooth.log_sum_exp"
     ~count:500 gen_posynomial (fun (n, terms, y) ->
-      let smooth = Gp.Smooth.log_sum_exp n terms in
-      let compiled = Gp.Compiled.of_terms n terms in
-      let ok = ref true in
-      let check a b = if not (same_float a b) then ok := false in
-      check (smooth.Gp.Smooth.value y) (Gp.Compiled.value compiled y);
-      let v_ref, g_ref, h_ref = smooth.Gp.Smooth.eval y in
-      let grad = Vec.create n in
-      let hess = Mat.create n n in
-      let v = Gp.Compiled.eval_into compiled y ~grad ~hess in
-      check v_ref v;
-      for i = 0 to n - 1 do
-        check g_ref.(i) grad.(i);
-        for j = 0 to n - 1 do
-          check (Mat.get h_ref i j) (Mat.get hess i j)
-        done
-      done;
-      !ok)
+      agrees (Gp.Smooth.log_sum_exp n terms) (of_terms terms) y)
 
 let prop_slack_bit_identical =
   QCheck2.Test.make ~name:"compiled slack extension is bit-identical" ~count:200
     gen_posynomial (fun (n, terms, y) ->
-      let base = Gp.Smooth.log_sum_exp n terms in
-      let ext = Gp.Smooth.extend base 1 in
-      let compiled =
-        Gp.Compiled.add_linear
-          (Gp.Compiled.extend (Gp.Compiled.of_terms n terms) 1)
-          n (-1.0)
-      in
-      let y1 = Vec.concat y [| 0.5 |] in
-      let v_ref, g_ref, h_ref = ext.Gp.Smooth.eval y1 in
-      g_ref.(n) <- g_ref.(n) -. 1.0;
-      let v_ref = v_ref -. y1.(n) in
-      let grad = Vec.create (n + 1) in
-      let hess = Mat.create (n + 1) (n + 1) in
-      let v = Gp.Compiled.eval_into compiled y1 ~grad ~hess in
-      let ok = ref true in
-      let check a b = if not (same_float a b) then ok := false in
-      check v_ref v;
-      for i = 0 to n do
-        check g_ref.(i) grad.(i);
-        for j = 0 to n do
-          check (Mat.get h_ref i j) (Mat.get hess i j)
-        done
-      done;
-      !ok)
+      agrees
+        (smooth_minus_slack n (Gp.Smooth.log_sum_exp n terms))
+        (Gp.Compiled.minus_slack n (of_terms terms))
+        (Vec.concat y [| 0.5 |]))
 
-(* --- batched kernel (Gp.Batch / Gp.Solver.solve_batched) --- *)
-
-module M = Symexpr.Monomial
-module P = Symexpr.Posynomial
-
-(* Random batches of same-structure problems: one random structure
-   (exponent rows for the objective, inequalities and equalities, plus
-   per-variable box constraints that keep the programs bounded), then
-   several members that differ only in their coefficients. *)
-let gen_batch =
+(* Random programs: exponent rows for the objective, inequalities and
+   equalities over a few variables, plus per-variable box constraints
+   that keep them bounded, and occasionally a constant equality. *)
+let gen_problem =
   let open QCheck2.Gen in
   let* n = int_range 2 4 in
   let vars = Array.init n (fun i -> Printf.sprintf "x%d" i) in
   let exp_choice = oneofl [ -2.0; -1.0; -0.5; 0.5; 1.0; 2.0 ] in
-  let gen_term =
+  let coeff = float_range 0.2 5.0 in
+  let gen_mono =
     let* nv = int_range 1 (min 3 n) in
     let* start = int_range 0 (n - 1) in
     let* exps = list_size (return nv) exp_choice in
-    return (List.mapi (fun k e -> (vars.((start + k) mod n), e)) exps)
+    let* c = coeff in
+    return (M.make c (List.mapi (fun k e -> (vars.((start + k) mod n), e)) exps))
   in
-  let* obj_nt = int_range 1 4 in
-  let* obj_s = list_size (return obj_nt) gen_term in
-  let* nineq = int_range 0 2 in
-  let* ineq_s =
-    list_size (return nineq)
-      (int_range 1 3 >>= fun nt -> list_size (return nt) gen_term)
-  in
-  let* neq = int_range 0 1 in
-  let* eq_s = list_size (return neq) gen_term in
-  (* Occasionally a constant equality: consistent (c = 1) or not
-     (c = 1.5) — the batched path checks these per member. *)
+  let gen_poly = int_range 1 4 >>= fun nt -> map P.of_monomials (list_size (return nt) gen_mono) in
+  let* objective = gen_poly in
+  let* ineqs = int_range 0 2 >>= fun k -> list_size (return k) gen_poly in
+  let* eqs = int_range 0 1 >>= fun k -> list_size (return k) gen_mono in
   let* const_eq =
     frequency [ (4, return None); (1, return (Some 1.0)); (1, return (Some 1.5)) ]
   in
-  let* nmembers = int_range 2 4 in
-  let coeff = float_range 0.2 5.0 in
-  let eq_coeff = float_range 0.5 2.0 in
-  let member =
-    let* obj_c = list_size (return obj_nt) coeff in
-    let* ineq_c =
-      flatten_l
-        (List.map (fun ts -> list_size (return (List.length ts)) coeff) ineq_s)
-    in
-    let* eq_c = list_size (return (List.length eq_s)) eq_coeff in
-    return (obj_c, ineq_c, eq_c)
-  in
-  let* members = list_size (return nmembers) member in
   let* y = array_size (return n) (float_range (-1.5) 1.5) in
-  return (vars, obj_s, ineq_s, eq_s, const_eq, members, y)
-
-let build_problem vars obj_s ineq_s eq_s const_eq (obj_c, ineq_c, eq_c) =
-  let poly structure cs =
-    P.of_monomials (List.map2 (fun t c -> M.make c t) structure cs)
-  in
-  let n = Array.length vars in
   let box =
     List.concat
       (List.init n (fun i ->
@@ -248,131 +201,91 @@ let build_problem vars obj_s ineq_s eq_s const_eq (obj_c, ineq_c, eq_c) =
              (Printf.sprintf "lb%d" i, P.of_monomial (M.make 0.1 [ (vars.(i), -1.0) ]));
            ]))
   in
-  let ineqs =
-    List.mapi
-      (fun j (ts, cs) -> (Printf.sprintf "g%d" j, poly ts cs))
-      (List.combine ineq_s ineq_c)
-  in
-  let eqs =
-    List.mapi (fun j m -> (Printf.sprintf "e%d" j, m)) (List.map2 M.make eq_c eq_s)
-  in
-  let eqs =
-    match const_eq with None -> eqs | Some c -> ("ec", M.const c) :: eqs
-  in
-  Gp.Problem.make ~objective:(poly obj_s obj_c) ~ineqs:(ineqs @ box) ~eqs ()
+  let eqs = List.mapi (fun j m -> (Printf.sprintf "e%d" j, m)) eqs in
+  let eqs = match const_eq with None -> eqs | Some c -> ("ec", M.const c) :: eqs in
+  let ineqs = List.mapi (fun j p -> (Printf.sprintf "g%d" j, p)) ineqs @ box in
+  return (Gp.Problem.make ~objective ~ineqs ~eqs (), y)
 
-let pack_batch (vars, obj_s, ineq_s, eq_s, const_eq, members, _y) =
-  let problems =
-    Array.of_list (List.map (build_problem vars obj_s ineq_s eq_s const_eq) members)
-  in
-  let plan = Gp.Batch.compile problems.(0) in
-  (Gp.Batch.pack plan problems, problems)
+(* [Compiled.compile] lowers every posynomial of a program to exactly
+   the function the dense list lowering (exponent row per monomial, log
+   coefficient) describes, and splits the equalities into nonzero rows
+   and the consistency of the all-zero ones. *)
+let prop_compile_bit_identical =
+  QCheck2.Test.make ~name:"compiled problem lowering is bit-identical to the list path"
+    ~count:200 gen_problem (fun (problem, y) ->
+      let c = Gp.Compiled.compile problem in
+      let n = c.Gp.Compiled.n in
+      let dense m =
+        let a = Vec.create n in
+        List.iter (fun (x, e) -> a.(Hashtbl.find c.Gp.Compiled.index x) <- e) (M.exponents m);
+        a
+      in
+      let smooth p =
+        Gp.Smooth.log_sum_exp n (List.map (fun m -> (dense m, log (M.coeff m))) (P.terms p))
+      in
+      let rows, zero =
+        List.partition (fun (a, _) -> Vec.norm_inf a > 0.0)
+          (List.map (fun (_, m) -> (dense m, -.log (M.coeff m))) (Gp.Problem.eqs problem))
+      in
+      agrees (smooth (Gp.Problem.objective problem)) c.Gp.Compiled.objective y
+      && List.for_all2
+           (fun (_, p) f -> agrees (smooth p) f y)
+           (Gp.Problem.ineqs problem) (Array.to_list c.Gp.Compiled.ineqs)
+      && List.length rows = Array.length c.Gp.Compiled.rows
+      && List.for_all2
+           (fun (a, d) (a', d') -> Array.for_all2 same_float a a' && same_float d d')
+           rows
+           (List.combine (Array.to_list c.Gp.Compiled.rows) (Array.to_list c.Gp.Compiled.rhs))
+      && c.Gp.Compiled.consistent = List.for_all (fun (_, d) -> Float.abs d <= 1e-9) zero)
 
-let prop_batched_eval_bit_identical =
-  QCheck2.Test.make
-    ~name:"batched eval is bit-identical to per-problem compiled eval" ~count:200
-    gen_batch (fun input ->
-      let _, _, _, _, _, _, y = input in
-      let block, problems = pack_batch input in
-      let ok = ref true in
-      let check a b = if not (same_float a b) then ok := false in
-      Array.iteri
-        (fun m problem ->
-          let pvars = Gp.Problem.variables problem in
-          let n = List.length pvars in
-          let index = Hashtbl.create 16 in
-          List.iteri (fun i x -> Hashtbl.replace index x i) pvars;
-          let slots =
-            Gp.Problem.objective problem
-            :: List.map snd (Gp.Problem.ineqs problem)
-          in
-          List.iteri
-            (fun slot poly ->
-              let compiled = Gp.Compiled.of_posynomial n index poly in
-              check (Gp.Compiled.value compiled y)
-                (Gp.Batch.member_value block ~member:m ~slot y);
-              let g_ref = Vec.create n in
-              let h_ref = Mat.create n n in
-              let v_ref = Gp.Compiled.eval_into compiled y ~grad:g_ref ~hess:h_ref in
-              let grad = Vec.create n in
-              let hess = Mat.create n n in
-              let v = Gp.Batch.member_eval_into block ~member:m ~slot ~grad ~hess y in
-              check v_ref v;
-              for i = 0 to n - 1 do
-                check g_ref.(i) grad.(i);
-                for j = 0 to n - 1 do
-                  check (Mat.get h_ref i j) (Mat.get hess i j)
-                done
-              done)
-            slots)
-        problems;
-      !ok)
+(* --- golden runs --- *)
 
-let same_solution (a : Gp.Solver.solution) (b : Gp.Solver.solution) =
-  a.Gp.Solver.status = b.Gp.Solver.status
-  && same_float a.Gp.Solver.objective b.Gp.Solver.objective
-  && List.length a.Gp.Solver.values = List.length b.Gp.Solver.values
-  && List.for_all2
-       (fun (xa, va) (xb, vb) -> String.equal xa xb && same_float va vb)
-       a.Gp.Solver.values b.Gp.Solver.values
+(* The solver's exact arithmetic on three of the paper's flows, recorded
+   before the compiled kernel moved onto flat one-problem buffers: the
+   logical solve count, Newton steps and line-search backtracks summed
+   over the sweep, and the bits of the winning design's model score and
+   of the best continuous objective.  Any change to the production
+   kernel's float operations or their order moves at least one of
+   these. *)
+module O = Thistle.Optimize
+module F = Thistle.Formulate
+module I = Thistle.Integerize
 
-let same_stats (a : Gp.Solver.stats) (b : Gp.Solver.stats) =
-  a.Gp.Solver.phase1_outer = b.Gp.Solver.phase1_outer
-  && a.Gp.Solver.phase2_outer = b.Gp.Solver.phase2_outer
-  && a.Gp.Solver.newton_iters = b.Gp.Solver.newton_iters
-  && a.Gp.Solver.backtracks = b.Gp.Solver.backtracks
-  && a.Gp.Solver.kkt_regularizations = b.Gp.Solver.kkt_regularizations
-  && a.Gp.Solver.cholesky_fallbacks = b.Gp.Solver.cholesky_fallbacks
-  && a.Gp.Solver.deadline_hits = b.Gp.Solver.deadline_hits
-  && same_float a.Gp.Solver.duality_gap b.Gp.Solver.duality_gap
+let golden ~solves ~newton ~backtracks ~score ~best_continuous objective run () =
+  match run () with
+  | Error e -> Alcotest.fail e
+  | Ok (r : O.report) ->
+    let t = r.O.solve_totals in
+    Alcotest.(check int) "solves" solves t.Gp.Solver.solves;
+    Alcotest.(check int) "Newton steps" newton t.Gp.Solver.t_newton_iters;
+    Alcotest.(check int) "backtracks" backtracks t.Gp.Solver.t_backtracks;
+    Alcotest.(check int64) "winner score bits" score
+      (bits (I.score objective r.O.outcome.I.metrics));
+    Alcotest.(check int64) "best continuous bits" best_continuous (bits r.O.best_continuous)
 
-let prop_batched_solve_bit_identical =
-  QCheck2.Test.make
-    ~name:"solve_batched is bit-identical to solve ~kernel:`Compiled" ~count:60
-    gen_batch (fun input ->
-      let block, problems = pack_batch input in
-      let st_c = Gp.Solver.fresh_stats () in
-      let st_b = Gp.Solver.fresh_stats () in
-      let ok = ref true in
-      Array.iteri
-        (fun m problem ->
-          let sc = Gp.Solver.solve ~kernel:`Compiled ~stats:st_c problem in
-          let sb = Gp.Solver.solve_batched ~stats:st_b block m in
-          if not (same_solution sc sb && same_stats st_c st_b) then ok := false;
-          (* Warm-started members must agree too (the plan is reused). *)
-          if m > 0 && sc.Gp.Solver.status = Gp.Solver.Optimal then begin
-            let warm = sc.Gp.Solver.values in
-            let wc = Gp.Solver.solve ~kernel:`Compiled ~stats:st_c ~warm_start:warm problem in
-            let wb = Gp.Solver.solve_batched ~stats:st_b ~warm_start:warm block m in
-            if not (same_solution wc wb && same_stats st_c st_b) then ok := false
-          end)
-        problems;
-      !ok)
+let codesign_energy layer () =
+  let tech = Archspec.Technology.table3 in
+  O.codesign tech ~area_budget:(Archspec.Arch.eyeriss_area tech) F.Energy
+    (Workload.Conv.to_nest (Workload.Zoo.find layer))
 
-let test_structure_key () =
-  let p c =
-    Gp.Problem.make
-      ~objective:(P.of_monomial (M.make c [ ("x", 1.0) ]))
-      ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ ("x", -1.0) ])) ]
-      ()
-  in
-  let k1 = Gp.Batch.structure_key (p 2.0) in
-  let k2 = Gp.Batch.structure_key (p 3.0) in
-  Alcotest.(check string) "coefficient-blind" k1 k2;
-  let q =
-    Gp.Problem.make
-      ~objective:(P.of_monomial (M.make 2.0 [ ("x", 2.0) ]))
-      ~ineqs:[ ("g", P.of_monomial (M.make 0.5 [ ("x", -1.0) ])) ]
-      ()
-  in
-  Alcotest.(check bool)
-    "exponents matter" false
-    (String.equal k1 (Gp.Batch.structure_key q));
-  (* pack rejects a member of a different structure *)
-  let plan = Gp.Batch.compile (p 2.0) in
-  Alcotest.check_raises "pack mismatch"
-    (Invalid_argument "Gp.Batch.pack: problem does not share the plan's structure")
-    (fun () -> ignore (Gp.Batch.pack plan [| p 2.0; q |]))
+let edge_delay layer () =
+  O.dataflow Archspec.Technology.edge
+    (Archspec.Arch.make ~name:"edge" ~pes:32 ~registers:16 ~sram_words:4096)
+    F.Delay
+    (Workload.Conv.to_nest (Workload.Zoo.find layer))
+
+let golden_cases =
+  [
+    Alcotest.test_case "resnet-2 codesign energy" `Quick
+      (golden ~solves:136 ~newton:12782 ~backtracks:48002 ~score:0x41b7d857040740e7L
+         ~best_continuous:0x41b8da1b9a7e6fbcL F.Energy (codesign_energy "resnet-2"));
+    Alcotest.test_case "yolo-2 codesign energy" `Quick
+      (golden ~solves:136 ~newton:12675 ~backtracks:48100 ~score:0x41f370a57b2678e4L
+         ~best_continuous:0x41f3e82975cc0ef0L F.Energy (codesign_energy "yolo-2"));
+    Alcotest.test_case "resnet-5 edge delay" `Quick
+      (golden ~solves:34 ~newton:21732 ~backtracks:23529 ~score:0x41233f8000000000L
+         ~best_continuous:0x41231c5cfcbb172aL F.Delay (edge_delay "resnet-5"));
+  ]
 
 let () =
   Alcotest.run "compiled"
@@ -383,16 +296,11 @@ let () =
           Alcotest.test_case "constant term" `Quick test_constant_term;
           Alcotest.test_case "affine" `Quick test_affine_matches_linear;
           Alcotest.test_case "stale buffers" `Quick test_stale_buffers;
-          Alcotest.test_case "slack extension" `Quick test_add_linear_slack;
+          Alcotest.test_case "slack extension" `Quick test_minus_slack;
           Alcotest.test_case "bad input" `Quick test_rejects_bad_input;
-          Alcotest.test_case "structure key" `Quick test_structure_key;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_bit_identical;
-            prop_slack_bit_identical;
-            prop_batched_eval_bit_identical;
-            prop_batched_solve_bit_identical;
-          ] );
+          [ prop_bit_identical; prop_slack_bit_identical; prop_compile_bit_identical ] );
+      ("golden", golden_cases);
     ]

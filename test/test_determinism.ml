@@ -244,65 +244,6 @@ let test_presolve_outcomes () =
       | Error m, Ok _ -> Alcotest.failf "%s: presolve-on run failed: %s" name m)
     on off
 
-(* The batched kernel groups each wave's pairs by structure key before
-   the parallel pool starts, so the same jobs-independence contract must
-   hold — including the solver.batch_* counters, which are functions of
-   wave membership and structure keys alone. *)
-let batched_config = { fast_config with O.gp_kernel = `Batched }
-
-let test_batched_jobs_independent () =
-  let seq = run ~config:batched_config ~jobs:1 ~trace:false () in
-  let par = run ~config:batched_config ~jobs:4 ~trace:false () in
-  nonvacuous seq;
-  let _, _, counters = seq in
-  Alcotest.(check bool) "structures were batched" true
-    (counter_value counters "solver.batch_structures_compiled" > 0);
-  Alcotest.(check bool) "members were packed" true
-    (counter_value counters "solver.batch_members" > 0);
-  check_same "batched: jobs 1 vs jobs 4" seq par
-
-(* Batched vs compiled: bit-identical results AND bit-identical counters
-   once the batch bookkeeping counters themselves are set aside — the
-   batched kernel changes where structure work happens, never what the
-   solver computes. *)
-let test_batched_matches_compiled () =
-  let without_batch =
-    List.filter (fun (k, _) -> not (String.starts_with ~prefix:"solver.batch" k))
-  in
-  let _, fps_b, counters_b = run ~config:batched_config ~jobs:4 ~trace:false () in
-  let _, fps_c, counters_c = run ~config:fast_config ~jobs:4 ~trace:false () in
-  Alcotest.(check (list string)) "batched vs compiled: results" fps_c fps_b;
-  Alcotest.(check (list (pair string int)))
-    "batched vs compiled: counters"
-    (without_batch counters_c) (without_batch counters_b);
-  Alcotest.(check int) "compiled packs no batches" 0
-    (counter_value counters_c "solver.batch_members")
-
-(* Fault injection composes with batching: a crashed or stalled member
-   retries and quarantines on its own, leaving the rest of its block
-   untouched, with the same fates as the compiled kernel. *)
-let test_batched_injected_matches_compiled () =
-  let inject =
-    match Robust.Inject.parse "seed=5,crash@solve=0.25,stall@solve=0.1" with
-    | Ok t -> t
-    | Error e -> Alcotest.fail e
-  in
-  let without_batch =
-    List.filter (fun (k, _) -> not (String.starts_with ~prefix:"solver.batch" k))
-  in
-  let _, fps_b, counters_b =
-    run ~config:{ batched_config with O.inject } ~jobs:4 ~trace:false ()
-  in
-  let _, fps_c, counters_c =
-    run ~config:{ fast_config with O.inject } ~jobs:4 ~trace:false ()
-  in
-  Alcotest.(check bool) "injection quarantined some pairs" true
-    (counter_value counters_b "robust.quarantined" > 0);
-  Alcotest.(check (list string)) "injected batched vs compiled: results" fps_c fps_b;
-  Alcotest.(check (list (pair string int)))
-    "injected batched vs compiled: counters"
-    (without_batch counters_c) (without_batch counters_b)
-
 let () =
   Alcotest.run "determinism"
     [
@@ -315,11 +256,5 @@ let () =
           Alcotest.test_case "dedupe-independent" `Quick test_dedupe_independent;
           Alcotest.test_case "warm-start outcomes" `Quick test_warm_start_outcomes;
           Alcotest.test_case "presolve outcomes" `Quick test_presolve_outcomes;
-          Alcotest.test_case "batched jobs-independent" `Quick
-            test_batched_jobs_independent;
-          Alcotest.test_case "batched matches compiled" `Quick
-            test_batched_matches_compiled;
-          Alcotest.test_case "batched injected matches compiled" `Quick
-            test_batched_injected_matches_compiled;
         ] );
     ]

@@ -79,7 +79,7 @@ let test_lu_singular () =
 let test_lu_factored_matches () =
   (* Same systems as the direct lu tests, via the factored path; the
      factorization is reused across two right-hand sides.  Equality is
-     bitwise: the batched solver leans on lu_factor being a drop-in for
+     bitwise: the solver's start point leans on lu_factor being a drop-in for
      lu_solve. *)
   let same name a b =
     Alcotest.(check bool)

@@ -207,6 +207,19 @@ let test_config_knobs () =
   let r = get (O.dataflow ~config tech arch F.Energy nest) in
   Alcotest.(check bool) "choices capped" true (r.O.choices_enumerated <= 2)
 
+(* Knobs no sweep can honor are refused before any work, with an Error
+   that names the offending field — not a misleading "nothing survived"
+   message or a silently ignored deadline. *)
+let refused field config () =
+  let names msg =
+    let n = String.length field in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = field || at (i + 1)) in
+    at 0
+  in
+  match O.dataflow ~config tech arch F.Energy (small_conv ()) with
+  | Ok _ -> Alcotest.failf "%s: config was accepted" field
+  | Error msg -> Alcotest.(check bool) (Printf.sprintf "%S names %s" msg field) true (names msg)
+
 let () =
   Alcotest.run "optimize"
     [
@@ -221,6 +234,15 @@ let () =
           Alcotest.test_case "nan ordering" `Quick test_nan_ordering;
           Alcotest.test_case "select best vs nan" `Quick test_select_best_nan;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "top_choices 0 refused" `Quick
+            (refused "top_choices" { fast with O.top_choices = 0 });
+          Alcotest.test_case "max_choices -1 refused" `Quick
+            (refused "max_choices" { fast with O.max_choices = -1 });
+          Alcotest.test_case "NaN deadline refused" `Quick
+            (refused "solve_deadline_ms" { fast with O.solve_deadline_ms = Some Float.nan });
         ] );
       ( "codesign",
         [

@@ -8,7 +8,11 @@
 #      `thistle merge` over the two journals must reproduce the
 #      reference byte-for-byte;
 #   3. resuming from the merged journal (no shard) must also reproduce
-#      it byte-for-byte without re-solving.
+#      it byte-for-byte without re-solving;
+#   4. merge refuses journals with conflicting fingerprints;
+#   5. journal compaction is a no-op on empty and compacted journals;
+#   6. the report is byte-identical at --jobs 1 and --jobs 4, with
+#      presolve on (default) and off.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -45,14 +49,14 @@ if ! cmp -s "$dir/full.txt" "$dir/resumed.txt"; then
 fi
 
 # 4. `thistle merge` must refuse journals whose fingerprints conflict:
-#    the same shard journaled under a different solver config (the
-#    legacy list kernel) carries the same pair indices with different
-#    fingerprints, and merging it with the compiled-kernel journal
-#    would mix incompatible solves.
-"$cli" optimize $opts --shard 1/2 --gp-kernel list \
-    --journal "$dir/s1-list.jsonl" > /dev/null
+#    the same shard journaled under a different solver config (cold
+#    starts instead of warm starts) carries the same pair indices with
+#    different fingerprints, and merging it with the warm-started
+#    journal would mix incompatible solves.
+"$cli" optimize $opts --shard 1/2 --no-warm-start \
+    --journal "$dir/s1-cold.jsonl" > /dev/null
 if "$cli" merge $opts --journal "$dir/conflict.jsonl" \
-    "$dir/s1.jsonl" "$dir/s1-list.jsonl" > /dev/null 2> "$dir/conflict.err"; then
+    "$dir/s1.jsonl" "$dir/s1-cold.jsonl" > /dev/null 2> "$dir/conflict.err"; then
     echo "sweep smoke: merge accepted conflicting fingerprints" >&2
     exit 1
 fi
@@ -78,4 +82,18 @@ if ! cmp -s "$dir/merged.once.jsonl" "$dir/merged.jsonl"; then
     exit 1
 fi
 
-echo "sweep smoke: shard+merge, resume, merge-refusal and compact OK on $layer"
+# 6. The worker count never changes a report, with presolve pruning
+#    (default) or without it.
+for presolve in prune off; do
+    "$cli" optimize --layer $layer --max-choices 8 --presolve $presolve \
+        --jobs 1 > "$dir/j1-$presolve.txt"
+    "$cli" optimize --layer $layer --max-choices 8 --presolve $presolve \
+        --jobs 4 > "$dir/j4-$presolve.txt"
+    if ! cmp -s "$dir/j1-$presolve.txt" "$dir/j4-$presolve.txt"; then
+        echo "sweep smoke: report depends on --jobs (presolve $presolve)" >&2
+        diff "$dir/j1-$presolve.txt" "$dir/j4-$presolve.txt" >&2 || true
+        exit 1
+    fi
+done
+
+echo "sweep smoke: shard+merge, resume, merge-refusal, compact and jobs OK on $layer"
