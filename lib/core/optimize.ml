@@ -133,14 +133,40 @@ let select_best ~score outcomes =
       | Some _ | None -> Some o)
     None outcomes
 
+(* Shortlist rank: the log objective in bands of [100 * gp_tol].  Under
+   Delay many choices tie up to solver round-off (the ten best on edge
+   resnet-2 lie within 6e-12 relative, far below the certified gap), so
+   ranking the raw objectives would let that noise pick which choices
+   get integerized.  Within a band the stable sort keeps list
+   (enumeration) order.  [compare_scores] ranks a non-finite key — a
+   non-finite or non-positive objective — after every finite one, so a
+   bogus solution never tops the shortlist while a finite one exists. *)
+let shortlist ~gp_tol ~top ~objective xs =
+  let band = 100.0 *. gp_tol in
+  let key x =
+    let l = log (objective x) in
+    if band > 0.0 then Float.floor (l /. band) else l
+  in
+  let rec take k = function
+    | x :: rest when k > 0 -> x :: take (k - 1) rest
+    | _ -> []
+  in
+  take top
+    (List.map snd
+       (List.stable_sort
+          (fun (a, _) (b, _) -> compare_scores a b)
+          (List.map (fun x -> (key x, x)) xs)))
+
 (* Everything that can change a pair's journaled fate besides the
    problem itself: solver tolerance and kernel, reuse policy, the
    deadline/retry/injection machinery.  Entering the pair fingerprint,
    it versions the journal cache — change any of these and every
-   journal entry goes stale and is re-solved (DESIGN §12). *)
+   journal entry goes stale and is re-solved (DESIGN §12).  The leading
+   version moves whenever solves or the shortlist rule change for the
+   same config; v4 has the bounded phase I and the banded shortlist. *)
 let config_fingerprint config =
   Printf.sprintf
-    "v3|tol=%Lx|kernel=%s|warm=%b|dedupe=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
+    "v4|tol=%Lx|kernel=%s|warm=%b|dedupe=%b|deadline=%s|retries=%d|inject=%s|presolve=%s|comm=%s"
     (Int64.bits_of_float config.gp_tol)
     (match config.gp_kernel with `Compiled -> "compiled" | `List -> "list")
     config.warm_start config.dedupe
@@ -955,25 +981,22 @@ let run ?(config = default_config) tech arch_mode objective nest =
           (Workload.Nest.name nest) (List.length solved)
           (List.length plan.Permutations.choices) plan.Permutations.raw_count
           !cache_hits !warm_starts);
-    let ranked =
-      (* List.sort is stable, and [solved] arrives in sequential order, so
-         ties keep the deterministic enumeration order.  [compare_scores]
-         (not [Float.compare], which sorts NaN first) ranks any
-         non-finite solver objective last, so a bogus solution can never
-         top the shortlist or become [best_continuous] while a finite
-         one exists. *)
-      List.sort
-        (fun (_, a) (_, b) ->
-          compare_scores a.Gp.Solver.objective b.Gp.Solver.objective)
+    let shortlisted =
+      shortlist ~gp_tol:config.gp_tol ~top:config.top_choices
+        ~objective:(fun (_, s) -> s.Gp.Solver.objective)
         solved
     in
-    let rec take k = function
-      | x :: rest when k > 0 -> x :: take (k - 1) rest
-      | _ -> []
-    in
-    let shortlisted = take config.top_choices ranked in
+    (* The exact minimum under [compare_scores], not the head of the
+       banded ranking; ties keep the first in enumeration order. *)
     let best_continuous =
-      match ranked with (_, s) :: _ -> s.Gp.Solver.objective | [] -> nan
+      match solved with
+      | [] -> nan
+      | (_, s) :: rest ->
+        List.fold_left
+          (fun acc (_, s) ->
+            if compare_scores s.Gp.Solver.objective acc < 0 then s.Gp.Solver.objective
+            else acc)
+          s.Gp.Solver.objective rest
     in
     (* Guarded integerization: a crash in the model-evaluation stage
        quarantines that shortlisted candidate (no retry — the stage is

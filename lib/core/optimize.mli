@@ -12,7 +12,10 @@ type config = {
   n_pow2 : int;  (** paper's [N], power-of-two candidates per capacity *)
   top_choices : int;
       (** how many best-by-continuous-objective permutation choices are
-          integerized and model-evaluated; must be >= 1 *)
+          integerized and model-evaluated; must be >= 1.  Ranked by
+          {!shortlist}: log objectives in bands of [100 * gp_tol],
+          ties in enumeration order, so solver round-off between
+          choices that tie never decides the shortlist *)
   max_choices : int;  (** cap on enumerated permutation choices; must be >= 1 *)
   gp_tol : float;
   explore_placements : bool;
@@ -143,7 +146,8 @@ val compare_scores : float -> float -> int
 (** Ascending order on finite scores with every non-finite score (NaN,
     [+/-infinity]) ranked after every finite one; non-finite scores tie
     with each other.  This is the comparator behind both the continuous
-    shortlist ranking and {!select_best} — [Float.compare] alone orders
+    shortlist ranking (applied to banded log objectives by
+    {!shortlist}) and {!select_best} — [Float.compare] alone orders
     NaN {e first}, which under a minimization objective would crown a
     bogus candidate. *)
 
@@ -151,6 +155,14 @@ val select_best : score:('a -> float) -> 'a list -> 'a option
 (** Minimum of [score] under {!compare_scores}; exact ties keep the
     last listed element.  A non-finite-scored element wins only when the
     list contains nothing finite; [None] only for the empty list. *)
+
+val shortlist : gp_tol:float -> top:int -> objective:('a -> float) -> 'a list -> 'a list
+(** The [top] best elements by continuous [objective], best first: the
+    shortlist {!run} integerizes.  Elements are ranked by
+    [floor (log objective / (100 * gp_tol))], so objectives that differ
+    only by solver round-off share a rank; equal ranks keep list order,
+    and a non-finite rank (a non-finite or non-positive objective) comes
+    after every finite one. *)
 
 val config_fingerprint : config -> string
 (** The solver-behavior fingerprint entering every journal entry's

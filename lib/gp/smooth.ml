@@ -85,3 +85,13 @@ let extend f extra =
     (v, g', h')
   in
   { dim = n; eval; value }
+
+let add f g =
+  if f.dim <> g.dim then invalid_arg "Smooth.add: dimension mismatch";
+  let value y = f.value y +. g.value y in
+  let eval y =
+    let v, gf, hf = f.eval y in
+    let w, gg, hg = g.eval y in
+    (v +. w, Vec.add gf gg, Mat.add hf hg)
+  in
+  { dim = f.dim; eval; value }

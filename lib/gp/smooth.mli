@@ -21,3 +21,7 @@ val extend : t -> int -> t
 (** [extend f extra] views [f] as a function of [dim + extra] variables
     that ignores the trailing [extra] coordinates (zero-padded gradient and
     Hessian). *)
+
+val add : t -> t -> t
+(** [add f g] is [fun y -> f y + g y]; raises [Invalid_argument] when the
+    dimensions differ. *)

@@ -167,9 +167,11 @@ let attempt_dense ~st ~initial_reg ~hess ~grad ~rows n =
 
 (* Minimize  barrier_t * f0(y) - sum_i log (-f_i(y))  subject to [rows]
    y fixed to its value at [y0] (the start must satisfy the equalities
-   and be strictly feasible for the inequalities).  Closure-per-function
-   evaluation and a dense LU KKT solve per step: the reference path. *)
-let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
+   and be strictly feasible for the inequalities).  The centering also
+   returns as soon as an accepted iterate satisfies [stop] (phase I's
+   strict-feasibility test).  Closure-per-function evaluation and a
+   dense LU KKT solve per step: the reference path. *)
+let centering_list ~initial_reg ~st ~stop ~barrier_t ~(objective : Smooth.t)
     ~(ineqs : Smooth.t list) ~rows y0 =
   let n = Vec.dim y0 in
   let phi y =
@@ -234,7 +236,9 @@ let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
         end
       in
       match search 1.0 60 with
-      | Some cand -> y := cand
+      | Some cand ->
+        y := cand;
+        if stop cand then converged := true
       | None -> converged := true (* cannot make progress; accept the point *)
     end
   done;
@@ -257,13 +261,17 @@ let centering_list ~initial_reg ~st ~barrier_t ~(objective : Smooth.t)
    which amplifies roundoff by ||H^-1|| ~ barrier_t / reg along the
    curvature-free log-linear directions every GP formulation has. *)
 
-(* The function set of one phase. *)
-type fset = {
-  fs_n : int;
-  fs_obj : Compiled.fn;
-  fs_ineqs : Compiled.fn array;
-  fs_zbasis : Vec.t array;
-  fs_rows : Vec.t array;  (* equality rows, for the dense KKT fallback *)
+(* What one barrier phase minimizes: [pg_obj] over [pg_n] log-space
+   coordinates subject to [pg_ineqs] < 0, with [pg_rows] y held at the
+   start point's value.  Phase II is the compiled program itself
+   ({!phase2_program}); phase I is built from it once per solve
+   ({!phase1_program}).  Both kernels run the same programs. *)
+type program = {
+  pg_n : int;
+  pg_obj : Compiled.fn;
+  pg_ineqs : Compiled.fn array;
+  pg_rows : Vec.t array;
+  pg_max_terms : int;
 }
 
 (* Per-phase workspace, owned by one solve. *)
@@ -302,10 +310,9 @@ let make_ws ~n ~q ~max_terms ~nineqs =
     w_u0 = Array.make (max 1 q) 0.0;
   }
 
-let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
-  let n = fset.fs_n in
-  let nineq = Array.length fset.fs_ineqs in
-  let zbasis = fset.fs_zbasis in
+let centering ~ws ~(pg : program) ~zbasis ~initial_reg ~st ~stop ~barrier_t y0 =
+  let n = pg.pg_n in
+  let nineq = Array.length pg.pg_ineqs in
   let q = Array.length zbasis in
   let grad = ws.w_grad in
   let hess = ws.w_hess in
@@ -324,7 +331,7 @@ let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     let ok = ref true in
     let i = ref 0 in
     while !ok && !i < nineq do
-      let v = Compiled.value (Array.unsafe_get fset.fs_ineqs !i) ~es cand in
+      let v = Compiled.value (Array.unsafe_get pg.pg_ineqs !i) ~es cand in
       if v >= 0.0 then ok := false
       else begin
         Array.unsafe_set vis !i v;
@@ -333,7 +340,7 @@ let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
     done;
     if not !ok then None
     else begin
-      let acc = ref (barrier_t *. Compiled.value fset.fs_obj ~es cand) in
+      let acc = ref (barrier_t *. Compiled.value pg.pg_obj ~es cand) in
       for j = 0 to nineq - 1 do
         acc := !acc -. log (-.Array.unsafe_get vis j)
       done;
@@ -351,8 +358,8 @@ let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
        them. *)
     Array.fill grad 0 n 0.0;
     Array.fill hess 0 (n * n) 0.0;
-    let v0 = Compiled.eval_into fset.fs_obj ~es ~grad:gi ~hess:hi ~hn:n y in
-    let sup0 = fset.fs_obj.Compiled.f_support in
+    let v0 = Compiled.eval_into pg.pg_obj ~es ~grad:gi ~hess:hi ~hn:n y in
+    let sup0 = pg.pg_obj.Compiled.f_support in
     let ns0 = Array.length sup0 in
     for a = 0 to ns0 - 1 do
       let i = Array.unsafe_get sup0 a in
@@ -364,7 +371,7 @@ let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
       done
     done;
     for gidx = 0 to nineq - 1 do
-      let g = Array.unsafe_get fset.fs_ineqs gidx in
+      let g = Array.unsafe_get pg.pg_ineqs gidx in
       let vi = Compiled.eval_into g ~es ~grad:gi ~hess:hi ~hn:n y in
       Array.unsafe_set vis gidx vi;
       (* vi < 0 by the line-search invariant *)
@@ -466,7 +473,7 @@ let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
            the dense pivoted-LU KKT path before giving up on the step. *)
         st.cholesky_fallbacks <- st.cholesky_fallbacks + 1;
         let hess_m = Mat.init n n (fun i j -> hess.((i * n) + j)) in
-        attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows:fset.fs_rows n
+        attempt_dense ~st ~initial_reg ~hess:hess_m ~grad ~rows:pg.pg_rows n
     in
     match dy with
     | None ->
@@ -518,7 +525,10 @@ let centering ~ws ~fset ~initial_reg ~st ~barrier_t y0 =
               search (alpha /. 2.0) (tries - 1)
           end
         in
-        if search 1.0 60 then Array.blit cand 0 y 0 n
+        if search 1.0 60 then begin
+          Array.blit cand 0 y 0 n;
+          if stop y then converged := true
+        end
         else converged := true (* cannot make progress; accept the point *)
       end
   done;
@@ -577,104 +587,108 @@ let barrier ?(stop_early = fun _ -> false) ~check ~st ~phase ~tol ~max_outer ~m
   end
 
 (* ------------------------------------------------------------------ *)
-(* Kernels                                                            *)
+(* Programs and kernels                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A kernel supplies the inequality values [value i y] and the
-   centerings of both phases.  Phase I minimizes the slack s over the
-   n + 1 coordinates (y, s) subject to f_i(y) - s <= 0 and
-   -s - 20 <= 0 (keeping the phase-I problem bounded); its centering is
-   built by [phase1_centering ()] only when phase I actually runs. *)
+let phase2_program (c : Compiled.t) =
+  {
+    pg_n = c.Compiled.n;
+    pg_obj = c.Compiled.objective;
+    pg_ineqs = c.Compiled.ineqs;
+    pg_rows = c.Compiled.rows;
+    pg_max_terms = c.Compiled.max_terms;
+  }
 
-(* G(y, s) = f(y) - s over n + 1 variables. *)
-let minus_slack n (f : Smooth.t) =
-  let base = Smooth.extend f 1 in
-  let value y = base.Smooth.value y -. y.(n) in
-  let eval y =
-    let v, g, h = base.Smooth.eval y in
-    g.(n) <- g.(n) -. 1.0;
-    (v -. y.(n), g, h)
-  in
-  { Smooth.dim = n + 1; eval; value }
+(* Bound on every log-space coordinate in phase I.  [exp 700] is still
+   finite, and any point beyond the box overflows to [inf] when mapped
+   back to the positive space, so the box loses no usable point. *)
+let phase1_box = 700.0
 
-(* The list kernel evaluates the compiled program's functions as dense
-   [Smooth] closures (same rows, same log coefficients). *)
-let list_kernel ~st ~initial_reg (c : Compiled.t) =
+(* Phase I minimizes the slack s = y_n over the n + 1 coordinates (y, s)
+   subject to f_i(y) - s <= 0, the floor -s - 20 <= 0 and the box
+   |y_j| <= box (two affine inequalities per coordinate).  The box keeps
+   the program bounded: a variable that enters the inequalities only
+   with negative exponents, like a delay epigraph T in c / T <= 1, would
+   otherwise lower the barrier without limit as log T grows, and every
+   centering would run to its Newton cap. *)
+let phase1_program (c : Compiled.t) ~box =
   let n = c.Compiled.n in
-  let smooth (f : Compiled.fn) =
-    Smooth.log_sum_exp n
-      (List.init f.Compiled.f_nterms (fun k ->
-           let a = Vec.create n in
-           for q = f.Compiled.f_starts.(k) to f.Compiled.f_starts.(k + 1) - 1 do
-             a.(f.Compiled.f_idx.(q)) <- f.Compiled.f_coef.(q)
-           done;
-           (a, f.Compiled.f_b.(k))))
+  let bounds =
+    Array.init (2 * n) (fun k ->
+        Compiled.affine [ (k / 2, if k mod 2 = 0 then 1.0 else -1.0) ] (-.box))
   in
-  let objective = smooth c.Compiled.objective in
-  let ineqs = Array.map smooth c.Compiled.ineqs in
-  let phase1_centering () =
-    let n1 = n + 1 in
-    let s_dir = Vec.init n1 (fun i -> if i = n then 1.0 else 0.0) in
-    let objective = Smooth.linear n1 s_dir 0.0 in
-    let lower = Smooth.linear n1 (Vec.scale (-1.0) s_dir) (-20.0) in
-    let ineqs = lower :: Array.to_list (Array.map (minus_slack n) ineqs) in
-    let rows = Array.map (fun a -> Vec.concat a [| 0.0 |]) c.Compiled.rows in
-    fun ~barrier_t y -> centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs ~rows y
-  in
-  let ineq_list = Array.to_list ineqs in
-  ( (fun i y -> ineqs.(i).Smooth.value y),
-    phase1_centering,
-    fun ~barrier_t y ->
-      centering_list ~initial_reg ~st ~barrier_t ~objective ~ineqs:ineq_list
-        ~rows:c.Compiled.rows y )
+  {
+    pg_n = n + 1;
+    pg_obj = Compiled.affine [ (n, 1.0) ] 0.0;
+    pg_ineqs =
+      Array.concat
+        [
+          [| Compiled.affine [ (n, -1.0) ] (-20.0) |];
+          Array.map (Compiled.minus_slack n) c.Compiled.ineqs;
+          bounds;
+        ];
+    pg_rows = Array.map (fun a -> Vec.concat a [| 0.0 |]) c.Compiled.rows;
+    pg_max_terms = c.Compiled.max_terms;
+  }
 
-let compiled_kernel ~st ~initial_reg (c : Compiled.t) =
-  let n = c.Compiled.n in
-  let nineq = Array.length c.Compiled.ineqs in
-  let fset2 =
-    {
-      fs_n = n;
-      fs_obj = c.Compiled.objective;
-      fs_ineqs = c.Compiled.ineqs;
-      fs_zbasis = Mat.nullspace_basis n c.Compiled.rows;
-      fs_rows = c.Compiled.rows;
-    }
-  in
-  let ws2 =
-    make_ws ~n ~q:(Array.length fset2.fs_zbasis) ~max_terms:c.Compiled.max_terms
-      ~nineqs:nineq
-  in
-  let phase1_centering () =
-    let rows1 = Array.map (fun a -> Vec.concat a [| 0.0 |]) c.Compiled.rows in
-    let fset1 =
-      {
-        fs_n = n + 1;
-        fs_obj = Compiled.affine [ (n, 1.0) ] 0.0;
-        fs_ineqs =
-          Array.append
-            [| Compiled.affine [ (n, -1.0) ] (-20.0) |]
-            (Array.map (Compiled.minus_slack n) c.Compiled.ineqs);
-        fs_zbasis = Mat.nullspace_basis (n + 1) rows1;
-        fs_rows = rows1;
-      }
+(* A compiled function as a dense [Smooth] closure over [n] coordinates:
+   same rows, log coefficients and linear part, hence (by the
+   {!Compiled} contract) the same values. *)
+let smooth n (f : Compiled.fn) =
+  let lin = Vec.create n in
+  Array.iteri (fun p i -> lin.(i) <- f.Compiled.f_lin_coef.(p)) f.Compiled.f_lin_idx;
+  let linear = Smooth.linear n lin f.Compiled.f_lin_const in
+  if f.Compiled.f_nterms = 0 then linear
+  else begin
+    let lse =
+      Smooth.log_sum_exp n
+        (List.init f.Compiled.f_nterms (fun k ->
+             let a = Vec.create n in
+             for q = f.Compiled.f_starts.(k) to f.Compiled.f_starts.(k + 1) - 1 do
+               a.(f.Compiled.f_idx.(q)) <- f.Compiled.f_coef.(q)
+             done;
+             (a, f.Compiled.f_b.(k))))
     in
-    let ws1 =
-      make_ws ~n:(n + 1) ~q:(Array.length fset1.fs_zbasis)
-        ~max_terms:c.Compiled.max_terms ~nineqs:(1 + nineq)
-    in
-    fun ~barrier_t y -> centering ~ws:ws1 ~fset:fset1 ~initial_reg ~st ~barrier_t y
+    if Array.length f.Compiled.f_lin_idx = 0 && f.Compiled.f_lin_const = 0.0 then lse
+    else Smooth.add lse linear
+  end
+
+(* A kernel turns a program into its centering
+   [fun ~stop ~barrier_t y -> ...].  The list kernel evaluates the
+   program's functions as dense [Smooth] closures; the compiled kernel
+   computes the nullspace basis and its workspace once per program. *)
+let list_kernel ~st ~initial_reg pg =
+  let n = pg.pg_n in
+  let objective = smooth n pg.pg_obj in
+  let ineqs = Array.to_list (Array.map (smooth n) pg.pg_ineqs) in
+  fun ~stop ~barrier_t y ->
+    centering_list ~initial_reg ~st ~stop ~barrier_t ~objective ~ineqs ~rows:pg.pg_rows y
+
+let compiled_kernel ~st ~initial_reg pg =
+  let zbasis = Mat.nullspace_basis pg.pg_n pg.pg_rows in
+  let ws =
+    make_ws ~n:pg.pg_n ~q:(Array.length zbasis) ~max_terms:pg.pg_max_terms
+      ~nineqs:(Array.length pg.pg_ineqs)
   in
-  ( (fun i y -> Compiled.value c.Compiled.ineqs.(i) ~es:ws2.w_es y),
-    phase1_centering,
-    fun ~barrier_t y -> centering ~ws:ws2 ~fset:fset2 ~initial_reg ~st ~barrier_t y )
+  fun ~stop ~barrier_t y ->
+    centering ~ws ~pg ~zbasis ~initial_reg ~st ~stop ~barrier_t y
 
 (* ------------------------------------------------------------------ *)
 (* Phase I                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Find a point satisfying the equalities and strictly satisfying the
-   inequalities, or decide that none exists. *)
-let phase1 ~check ~st ~max_outer ~n ~nineq ~value ~phase1_centering y0 =
+   inequalities, or decide that none exists.  Phase I needs any strictly
+   feasible point, not the slack minimizer, so it returns at the first
+   accepted Newton iterate (inside a centering or at an outer boundary)
+   that passes [strictly_ok]. *)
+let phase1 ~check ~st ~max_outer ~kernel (c : Compiled.t) y0 =
+  let n = c.Compiled.n in
+  let nineq = Array.length c.Compiled.ineqs in
+  let es = Array.make (max 1 c.Compiled.max_terms) 0.0 in
+  let value i y = Compiled.value c.Compiled.ineqs.(i) ~es y in
+  (* Reads only the first n coordinates, so it also tests phase-I
+     iterates (y, s). *)
   let strictly_ok y =
     let rec go i = i >= nineq || (value i y < -1e-9 && go (i + 1)) in
     go 0
@@ -688,11 +702,14 @@ let phase1 ~check ~st ~max_outer ~n ~nineq ~value ~phase1_centering y0 =
       done;
       !acc +. 1.0
     in
+    (* The start must lie strictly inside the box. *)
+    let box = Array.fold_left (fun acc v -> Float.max acc (Float.abs v +. 1.0)) phase1_box y0 in
+    let pg = phase1_program c ~box in
     let y1, _ =
-      barrier
-        ~stop_early:(fun y -> y.(n) < -0.5)
-        ~check ~st ~phase:`One ~tol:1e-6 ~max_outer ~m:(1 + nineq)
-        ~centering:(phase1_centering ()) (Vec.concat y0 [| s0 |])
+      barrier ~stop_early:strictly_ok ~check ~st ~phase:`One ~tol:1e-6 ~max_outer
+        ~m:(Array.length pg.pg_ineqs)
+        ~centering:(kernel pg ~stop:strictly_ok)
+        (Vec.concat y0 [| s0 |])
     in
     let y = Vec.slice y1 0 n in
     if strictly_ok y then Some y else None
@@ -776,20 +793,21 @@ let solve ?(tol = 1e-8) ?(max_outer = 60) ?stats ?warm_start ?(kernel = `Compile
     if not c.Compiled.consistent then infeasible
     else begin
       let y0 = start_point c warm_start in
-      let value, phase1_centering, phase2_centering =
+      let kernel =
         match kernel with
-        | `List -> list_kernel ~st ~initial_reg c
-        | `Compiled -> compiled_kernel ~st ~initial_reg c
+        | `List -> list_kernel ~st ~initial_reg
+        | `Compiled -> compiled_kernel ~st ~initial_reg
       in
-      let nineq = Array.length c.Compiled.ineqs in
-      match phase1 ~check ~st ~max_outer ~n:c.Compiled.n ~nineq ~value ~phase1_centering y0 with
+      match phase1 ~check ~st ~max_outer ~kernel c y0 with
       | None ->
         Log.debug (fun m -> m "phase I failed: problem infeasible");
         infeasible
       | Some y_feas ->
         let y_opt, clean =
-          barrier ~check ~st ~phase:`Two ~tol ~max_outer ~m:nineq
-            ~centering:phase2_centering y_feas
+          barrier ~check ~st ~phase:`Two ~tol ~max_outer
+            ~m:(Array.length c.Compiled.ineqs)
+            ~centering:(kernel (phase2_program c) ~stop:(fun _ -> false))
+            y_feas
         in
         let envt = Array.map exp y_opt in
         {

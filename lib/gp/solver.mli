@@ -7,8 +7,16 @@
     strictly feasible point (or a certificate of infeasibility), phase II
     traces the central path with equality-constrained Newton steps.
 
+    Phase I minimizes a slack [s] with [f_i(y) - s <= 0], over a box
+    [|y_j| <= 700] in log space that keeps it bounded ([exp 700] is
+    still finite, so no usable point lies outside; a start beyond it
+    widens the box to contain the start), and returns at the
+    first accepted Newton iterate whose every [f_i] is below [-1e-9].
+    The box is not part of phase II.
+
     Two evaluation kernels back the same barrier driver, both over the
-    program as {!Compiled.compile} lowers it once per solve:
+    programs built from {!Compiled.compile}'s lowering once per solve
+    (phase I's included):
     - [`Compiled] (the default and the production path): sparse
       exponent rows evaluated into flat, reused per-solve buffers
       ({!Compiled.value} / {!Compiled.eval_into}).  Each Newton step

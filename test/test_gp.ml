@@ -600,6 +600,38 @@ let test_warm_start () =
   check_float "objective after junk seed" cold.Gp.Solver.objective
     junk.Gp.Solver.objective
 
+(* Phase I on a delay-style epigraph: min T s.t. 10 / T <= 1, with an
+   extent equality x y = 64 under x, y <= 8.5.  The least-norm start
+   (T = 1, x = y = 8) violates only the epigraph constraint.  The best
+   phase-I slack is log (8 / 8.5) ~ -0.06, so a "slack below -0.5" stop
+   never fires, and T enters the inequalities only with exponent -1: an
+   unbounded phase I lets log T drift upward through every centering,
+   each to its 80-step Newton cap (7 x 80 = 560 steps).  Phase I must
+   instead stop at its first strictly feasible iterate. *)
+let epigraph_problem () =
+  Gp.Problem.make ~objective:(P.var "T")
+    ~ineqs:
+      [
+        ("T>=10", P.of_monomial (M.make 10.0 [ ("T", -1.0) ]));
+        ("x<=8.5", Gp.Problem.le_const (P.var "x") 8.5);
+        ("y<=8.5", Gp.Problem.le_const (P.var "y") 8.5);
+      ]
+    ~eqs:[ ("xy=64", Gp.Problem.eq (M.mul (M.var "x") (M.var "y")) (M.const 64.0)) ]
+    ()
+
+let test_phase1_epigraph kernel () =
+  let st = Gp.Solver.fresh_stats () in
+  let sol = Gp.Solver.solve ~kernel ~stats:st (epigraph_problem ()) in
+  check_optimal sol;
+  check_float "objective" 10.0 sol.Gp.Solver.objective;
+  Alcotest.(check bool) "phase I ran" true (st.Gp.Solver.phase1_outer >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "phase I outer iterations %d <= 2" st.Gp.Solver.phase1_outer)
+    true (st.Gp.Solver.phase1_outer <= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "Newton steps %d <= 200" st.Gp.Solver.newton_iters)
+    true (st.Gp.Solver.newton_iters <= 200)
+
 let () =
   Alcotest.run "gp"
     [
@@ -632,6 +664,13 @@ let () =
         [
           Alcotest.test_case "conflicting bounds" `Quick test_infeasible;
           Alcotest.test_case "inconsistent equality" `Quick test_inconsistent_equality;
+        ] );
+      ( "phase I",
+        [
+          Alcotest.test_case "epigraph start, compiled kernel" `Quick
+            (test_phase1_epigraph `Compiled);
+          Alcotest.test_case "epigraph start, list kernel" `Quick
+            (test_phase1_epigraph `List);
         ] );
       ( "kernels",
         [

@@ -201,6 +201,35 @@ let test_select_best_nan () =
   check_some "all-nan still answers" Float.nan (best [ Float.nan; Float.nan ]);
   check_some "inf loses to finite" 1.0 (best [ Float.infinity; 1.0 ])
 
+(* Choices whose continuous objectives tie up to solver round-off must
+   reach the shortlist in enumeration order, whatever the round-off:
+   perturbing every objective by 1e-12 relative, in any direction,
+   leaves the shortlist unchanged.  Ranking raw objectives picks the
+   three smallest by their noise instead. *)
+let test_shortlist_noise () =
+  let gp_tol = O.default_config.O.gp_tol in
+  (* mid-band values, far from a band edge at any 1e-12 perturbation *)
+  let mid k = exp (100.0 *. gp_tol *. (float_of_int k +. 0.5)) in
+  let a = mid 1000 and b = mid 1003 in
+  let base = [ a; b; a; a; Float.nan; a; b ] in
+  let shortlist objs =
+    List.map fst
+      (O.shortlist ~gp_tol ~top:3 ~objective:snd (List.mapi (fun i v -> (i, v)) objs))
+  in
+  Alcotest.(check (list int)) "ties in enumeration order" [ 0; 2; 3 ] (shortlist base);
+  for pattern = 0 to (1 lsl List.length base) - 1 do
+    let perturbed =
+      List.mapi
+        (fun i v ->
+          let sign = if pattern land (1 lsl i) <> 0 then 1.0 else -1.0 in
+          v *. (1.0 +. (sign *. float_of_int (i + 1) *. 1e-12)))
+        base
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "perturbation pattern %d" pattern)
+      [ 0; 2; 3 ] (shortlist perturbed)
+  done
+
 let test_config_knobs () =
   let nest = small_conv () in
   let config = { O.default_config with O.max_choices = 2; top_choices = 1 } in
@@ -233,6 +262,7 @@ let () =
           Alcotest.test_case "problem key" `Quick test_problem_key;
           Alcotest.test_case "nan ordering" `Quick test_nan_ordering;
           Alcotest.test_case "select best vs nan" `Quick test_select_best_nan;
+          Alcotest.test_case "shortlist ignores round-off" `Quick test_shortlist_noise;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
         ] );
       ( "config",

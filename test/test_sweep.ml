@@ -510,6 +510,58 @@ let test_stale_fingerprint () =
   Alcotest.(check int) "everything re-solved" solved
     (counter counters "sweep.pairs_solved")
 
+(* Journals written before phase I was bounded and the shortlist banded
+   carry "v3"-versioned config fingerprints.  Their solves no longer
+   match what this version computes, so each such entry must count as
+   stale and be re-solved, never replayed.  The v3 entries are built
+   from a real journal by re-fingerprinting each pair's problem key
+   under the v3 config string. *)
+let test_v3_journal_stale () =
+  with_temp_dir @@ fun dir ->
+  let config = { fast with O.jobs = 1 } in
+  let path = Filename.concat dir "run.jsonl" in
+  let _, counters_full = run_counted { config with O.journal = Some path } in
+  let solved = counter counters_full "sweep.pairs_solved" in
+  (* Pair keys in the sweep's enumeration order: choice-major, then
+     placement, as Optimize.run indexes pairs. *)
+  let plan = Thistle.Permutations.enumerate ~max_choices:config.O.max_choices nest in
+  let keys =
+    Array.of_list
+      (List.concat_map
+         (fun choice_vol ->
+           List.map
+             (fun placement ->
+               O.problem_key
+                 (F.build ~placement ~comm:config.O.comm tech (F.Fixed arch) F.Energy plan
+                    choice_vol)
+                   .F.problem)
+             plan.Thistle.Permutations.placements)
+         plan.Thistle.Permutations.choices)
+  in
+  let current = O.config_fingerprint config in
+  Alcotest.(check string) "fingerprint version" "v4|" (String.sub current 0 3);
+  let v3 = "v3|" ^ String.sub current 3 (String.length current - 3) in
+  let entries = match Journal.load path with Ok es -> es | Error e -> Alcotest.fail e in
+  List.iter
+    (fun (e : Journal.entry) ->
+      Alcotest.(check string) "pair key reconstructed" e.Journal.fingerprint
+        (Journal.fingerprint ~config:current ~problem_key:keys.(e.Journal.pair)))
+    entries;
+  let v3_path = Filename.concat dir "v3.jsonl" in
+  Journal.write_file v3_path
+    (List.map
+       (fun (e : Journal.entry) ->
+         {
+           e with
+           Journal.fingerprint = Journal.fingerprint ~config:v3 ~problem_key:keys.(e.Journal.pair);
+         })
+       entries);
+  let _, counters = run_counted { config with O.journal = Some v3_path; resume = true } in
+  Alcotest.(check int) "no v3 entry replays" 0 (counter counters "sweep.journal_hits");
+  Alcotest.(check int) "every v3 entry stale" (List.length entries)
+    (counter counters "sweep.journal_stale");
+  Alcotest.(check int) "everything re-solved" solved (counter counters "sweep.pairs_solved")
+
 let () =
   Alcotest.run "sweep"
     [
@@ -543,5 +595,6 @@ let () =
           Alcotest.test_case "injected faults" `Quick test_shard_merge_injected;
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
           Alcotest.test_case "stale fingerprint" `Quick test_stale_fingerprint;
+          Alcotest.test_case "v3 journal stale" `Quick test_v3_journal_stale;
         ] );
     ]
